@@ -2,7 +2,7 @@
  * @file
  * Simulation-kernel throughput: functional-mode instructions per second
  * for representative MNM configurations on the paper's 5-level machine,
- * with one cell per SIMD backend where the backend matters.
+ * one cell per configuration.
  *
  * This bench measures the simulator, not the simulated machine: its
  * numbers are wall-clock dependent and NOT byte-stable across runs, so
@@ -13,14 +13,11 @@
  * against the committed BENCH_kernel.json baseline via
  * tools/extract_results.py --perf.
  *
- * Backends are reported under ROLE names, not ISA names: "off" (the
- * legacy per-access plan walk), "scalar-soa", and "native" (whatever
- * vector ISA this machine runs -- AVX2, NEON, or scalar-soa again when
- * neither exists; the summary records the resolution). Role names keep
- * one committed baseline comparable across recording and CI machines
- * with different ISAs.
+ * The summary keeps schema v2's (config, backend) nesting with a single
+ * "n/a" backend per config: the verdict program has one implementation
+ * (the scalar SoA pass), so there is no backend to choose.
  *
- * Methodology: every (config, backend) cell owns one simulator; after
+ * Methodology: every config cell owns one simulator; after
  * a warm-up run, the cell is measured in MNM_BENCH_ROUNDS consecutive
  * rounds of MNM_INSTRUCTIONS each and reports its best round (minimum
  * time). Rounds run back-to-back per cell -- interleaving cells would
@@ -32,7 +29,7 @@
  * cost.
  *
  * Knobs: MNM_INSTRUCTIONS (measured window per round), MNM_BENCH_ROUNDS
- * (rounds; default 5), MNM_APPS (the first named workload drives the
+ * (rounds, 1..10000; default 5), MNM_APPS (the first named workload drives the
  * measurement; default 164.gzip), and MNM_BENCH_JSON (summary path;
  * unset = table only).
  */
@@ -52,7 +49,6 @@
 #include "sim/experiment.hh"
 #include "sim/memory_sim.hh"
 #include "trace/spec2000.hh"
-#include "util/cpu.hh"
 #include "util/logging.hh"
 
 using namespace mnm;
@@ -60,38 +56,19 @@ using namespace mnm;
 namespace
 {
 
-/** One measured configuration: a paper label or "off" (no MNM). */
-struct KernelConfig
-{
-    const char *label;
-    bool mnm_enabled;
-    /** Measure one cell per backend role? The bare hierarchy has no
-     *  verdicts at all and the perfect oracle's verdicts are cache
-     *  probes every backend serves with the same scalar pass, so both
-     *  report a single "n/a" cell. */
-    bool per_backend;
+/** The measured configurations: "off" (no MNM) or a paper label. */
+constexpr const char *kernel_configs[] = {
+    "off",         //!< bare hierarchy: the kernel floor
+    "RMNM_2048_4", //!< shared replacement tracker only
+    "TMNM_13x2",   //!< per-cache counting tables
+    "HMNM4",       //!< the paper's widest hybrid (headline)
+    "Perfect",     //!< oracle: contains(), no filters
 };
 
-constexpr KernelConfig kernel_configs[] = {
-    {"off", false, false},        //!< bare hierarchy: the kernel floor
-    {"RMNM_2048_4", true, true},  //!< shared replacement tracker only
-    {"TMNM_13x2", true, true},    //!< per-cache counting tables
-    {"HMNM4", true, true},        //!< the paper's widest hybrid (headline)
-    {"Perfect", true, false},     //!< oracle: contains(), no filters
-};
-
-/** Backend roles a per-backend config is measured under. */
-struct BackendRole
-{
-    const char *role;
-    SimdBackend backend;
-};
-
-/** One (config, backend) measurement cell and its live simulator. */
+/** One config's measurement cell and its live simulator. */
 struct Cell
 {
     std::string config;
-    std::string backend_role; //!< "off" / "scalar-soa" / "native" / "n/a"
     std::unique_ptr<MemorySimulator> sim;
     std::unique_ptr<WorkloadGenerator> workload;
     double best_instr_per_sec = 0.0;
@@ -145,14 +122,7 @@ std::uint64_t
 roundsFromEnv()
 {
     const char *value = std::getenv("MNM_BENCH_ROUNDS");
-    if (!value || !*value)
-        return 5;
-    char *end = nullptr;
-    unsigned long long rounds = std::strtoull(value, &end, 10);
-    if (!end || *end || rounds == 0)
-        fatal("MNM_BENCH_ROUNDS must be a positive integer, got '%s'",
-              value);
-    return rounds;
+    return value ? parseEnvU64("MNM_BENCH_ROUNDS", value, 1, 10000) : 5;
 }
 
 } // anonymous namespace
@@ -163,33 +133,18 @@ main()
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     std::string app = opts.apps.empty() ? "164.gzip" : opts.apps.front();
     const std::uint64_t rounds = roundsFromEnv();
-    const SimdBackend native = nativeSimdBackend();
-
-    const BackendRole roles[] = {
-        {"off", SimdBackend::Off},
-        {"scalar-soa", SimdBackend::ScalarSoa},
-        {"native", native},
-    };
 
     std::vector<Cell> cells;
-    for (const KernelConfig &config : kernel_configs) {
-        std::size_t num_roles =
-            config.per_backend ? std::size(roles) : 1;
-        for (std::size_t r = 0; r < num_roles; ++r) {
-            Cell cell;
-            cell.config = config.label;
-            cell.backend_role =
-                config.per_backend ? roles[r].role : "n/a";
-            std::optional<MnmSpec> spec;
-            if (config.mnm_enabled)
-                spec = mnmSpecByName(config.label);
-            cell.sim = std::make_unique<MemorySimulator>(
-                paperHierarchy(5), spec);
-            if (config.per_backend)
-                cell.sim->mnm()->setSimdBackend(roles[r].backend);
-            cell.workload = makeSpecWorkload(app);
-            cells.push_back(std::move(cell));
-        }
+    for (const char *config : kernel_configs) {
+        Cell cell;
+        cell.config = config;
+        std::optional<MnmSpec> spec;
+        if (cell.config != "off")
+            spec = mnmSpecByName(config);
+        cell.sim =
+            std::make_unique<MemorySimulator>(paperHierarchy(5), spec);
+        cell.workload = makeSpecWorkload(app);
+        cells.push_back(std::move(cell));
     }
 
     for (Cell &cell : cells) {
@@ -207,8 +162,7 @@ main()
                 phaseTotalsDelta(prof_before, threadPhaseTotals());
             foldPhaseTotals(
                 globalStats(), cell.prof,
-                "prof.cell." + sanitizeMetricSegment(cell.config) + "." +
-                    sanitizeMetricSegment(cell.backend_role));
+                "prof.cell." + sanitizeMetricSegment(cell.config));
         }
     }
 
@@ -217,11 +171,9 @@ main()
                 app.c_str(),
                 static_cast<unsigned long long>(opts.instructions),
                 static_cast<unsigned long long>(rounds));
-    std::printf("%-12s  %-12s  %14s\n", "config", "backend",
-                "instr_per_sec");
+    std::printf("%-12s  %14s\n", "config", "instr_per_sec");
     for (const Cell &cell : cells) {
-        std::printf("%-12s  %-12s  %14.0f\n", cell.config.c_str(),
-                    cell.backend_role.c_str(),
+        std::printf("%-12s  %14.0f\n", cell.config.c_str(),
                     cell.best_instr_per_sec);
     }
 
@@ -237,26 +189,15 @@ main()
         std::fprintf(f, "  \"rounds\": %llu,\n",
                      static_cast<unsigned long long>(rounds));
         std::fprintf(f, "  \"estimator\": \"best-of-rounds\",\n");
-        std::fprintf(f, "  \"native_backend\": \"%s\",\n",
-                     simdBackendName(native));
         std::fprintf(f, "  \"configs\": {\n");
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            bool open = i == 0 || cells[i].config != cells[i - 1].config;
-            bool close = i + 1 == cells.size() ||
-                         cells[i + 1].config != cells[i].config;
-            if (open)
-                std::fprintf(f, "    \"%s\": {\n",
-                             cells[i].config.c_str());
             std::fprintf(f,
-                         "      \"%s\": {\"instr_per_sec\": %.0f%s}%s\n",
-                         cells[i].backend_role.c_str(),
+                         "    \"%s\": {\"n/a\": {\"instr_per_sec\": "
+                         "%.0f%s}}%s\n",
+                         cells[i].config.c_str(),
                          cells[i].best_instr_per_sec,
                          profSharesJson(cells[i].prof).c_str(),
-                         close ? "" : ",");
-            if (close) {
-                std::fprintf(f, "    }%s\n",
-                             i + 1 == cells.size() ? "" : ",");
-            }
+                         i + 1 == cells.size() ? "" : ",");
         }
         std::fprintf(f, "  }\n}\n");
         std::fclose(f);

@@ -84,7 +84,6 @@ MnmUnit::MnmUnit(const MnmSpec &spec, CacheHierarchy &hierarchy)
     }
 
     compilePlans();
-    backend_ = simdBackendFromEnv();
     hierarchy_.setListener(this);
     // Batched feed by default; setReferenceFeed(true) restores the
     // per-event virtual path (MNM_REFERENCE_FEED=1).
@@ -143,11 +142,6 @@ MnmUnit::compilePlans()
     // Lower each walk into its SoA program.
     lowerPlan(instr_plan_, soa_instr_);
     lowerPlan(data_plan_, soa_data_);
-    plans_identical_ = instr_plan_.size() == data_plan_.size();
-    for (std::size_t i = 0; plans_identical_ && i < instr_plan_.size();
-         ++i) {
-        plans_identical_ = instr_plan_[i].id == data_plan_[i].id;
-    }
     instr_guards_ = false;
     for (const VerdictStep &step : instr_plan_)
         instr_guards_ |= step.oracle_guard;
@@ -244,8 +238,10 @@ MnmUnit::cacheVerdict(CacheId id, Addr addr) const
 BypassMask
 MnmUnit::computeBypass(AccessType type, Addr addr)
 {
-    if (reference_dispatch_ || backend_ == SimdBackend::Off)
-        return computeBypassLegacy(type, addr);
+    if (reference_dispatch_) {
+        noteLookup();
+        return computeBypassReference(type, addr);
+    }
     std::uint32_t cand;
     computeCandidates(type, &addr, &cand, 1);
     return finishBypass(type, addr, cand);
@@ -257,7 +253,7 @@ MnmUnit::computeCandidates(AccessType type, const Addr *addrs,
 {
     const bool instr = type == AccessType::InstFetch;
     const SoaProgram &program = instr ? soa_instr_ : soa_data_;
-    soaCompute(program, addrs, cand, n, backend_);
+    soaCompute(program, addrs, cand, n);
 }
 
 BypassMask
@@ -269,7 +265,9 @@ MnmUnit::finishBypass(AccessType type, Addr addr, std::uint32_t cand)
     if (!(instr ? instr_guards_ : data_guards_))
         return BypassMask(cand);
     // Oracle-guarded steps check the candidate against live cache
-    // contents at consumption time, exactly as the legacy walk does.
+    // contents at consumption time. A wrong "miss" would have skipped
+    // a hit: count it and suppress the bypass so the simulation stays
+    // architecturally correct.
     BypassMask mask;
     const std::vector<VerdictStep> &plan =
         instr ? instr_plan_ : data_plan_;
@@ -278,61 +276,6 @@ MnmUnit::finishBypass(AccessType type, Addr addr, std::uint32_t cand)
             continue;
         if (step.oracle_guard &&
             step.cache->contains(step.cache->blockAddr(addr))) {
-            ++violations_;
-            ++violations_at_[step.level];
-            continue;
-        }
-        mask.set(step.id);
-    }
-    return mask;
-}
-
-BypassMask
-MnmUnit::computeBypassLegacy(AccessType type, Addr addr)
-{
-    ++lookups_;
-    rmnm_burst_charged_ = false; // new access: new RMNM update burst
-    if (reference_dispatch_)
-        return computeBypassReference(type, addr);
-
-    BypassMask mask;
-    const std::vector<VerdictStep> &plan =
-        type == AccessType::InstFetch ? instr_plan_ : data_plan_;
-    if (spec_.perfect) {
-        for (const VerdictStep &step : plan) {
-            if (!step.cache->contains(step.cache->blockAddr(addr)))
-                mask.set(step.id);
-        }
-        return mask;
-    }
-
-    // One RMNM probe answers every step: the plan's caches all test the
-    // same address, so hoist the entry lookup and keep only the
-    // per-cache bit test in the loop.
-    const std::uint32_t rmnm_bits = rmnm_ ? rmnm_->missBits(addr) : 0;
-    const FilterKernel *kernels = kernels_.data();
-    for (const VerdictStep &step : plan) {
-        const PerCache &pc = *step.pc;
-        bool miss = pc.rmnm_index >= 0 &&
-                    ((rmnm_bits >> pc.rmnm_index) & 1u);
-        if (!miss) {
-            BlockAddr block = step.cache->blockAddr(addr);
-            const FilterKernel *k = kernels + pc.kernel_first;
-            const FilterKernel *end = k + pc.kernel_count;
-            for (; k != end; ++k) {
-                if (kernelDefinitelyMiss(*k, block)) {
-                    miss = true;
-                    break;
-                }
-            }
-        }
-        if (!miss)
-            continue;
-        if (step.oracle_guard &&
-            step.cache->contains(step.cache->blockAddr(addr))) {
-            // The verdict was wrong: bypassing would have skipped a
-            // hit. Count it and suppress the bypass so the simulation
-            // stays architecturally correct.
             ++violations_;
             ++violations_at_[step.level];
             continue;
@@ -410,11 +353,6 @@ MnmUnit::onPlacement(CacheId id, BlockAddr block)
 {
     PhaseScope prof(Phase::UpdateFeed);
     PerCache &pc = per_cache_[id];
-    // Level >= 2 state moved: filters and RMNM below, and in perfect
-    // mode the cache contents the oracle verdicts read. L1 events leave
-    // every verdict input untouched (L1 is not on any plan).
-    if (pc.rmnm_index >= 0)
-        ++state_epoch_;
     if (spec_.perfect)
         return;
     if (reference_dispatch_) {
@@ -443,8 +381,6 @@ MnmUnit::onReplacement(CacheId id, BlockAddr block)
 {
     PhaseScope prof(Phase::UpdateFeed);
     PerCache &pc = per_cache_[id];
-    if (pc.rmnm_index >= 0)
-        ++state_epoch_;
     if (spec_.perfect)
         return;
     if (reference_dispatch_) {
@@ -479,22 +415,13 @@ MnmUnit::onEventBatch(const CacheEvent *events, std::size_t n)
         return;
     }
     PhaseScope prof(Phase::FeedDrain);
+    if (spec_.perfect)
+        return; // the oracle keeps no filter state
     const UpdateStep *steps = update_plan_.data();
     Rmnm *rmnm = rmnm_.get();
-    if (spec_.perfect) {
-        // The oracle keeps no filter state; only the verdict epoch
-        // moves (cache contents it reads changed at level >= 2).
-        for (std::size_t i = 0; i < n; ++i) {
-            if (steps[events[i].cache].rmnm_index >= 0)
-                ++state_epoch_;
-        }
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i) {
         const CacheEvent &ev = events[i];
         const UpdateStep &st = steps[ev.cache];
-        if (st.rmnm_index >= 0)
-            ++state_epoch_;
         updateStepApply(st, ev.kind, ev.block);
         if (rmnm && st.rmnm_index >= 0) {
             const Addr byte_addr = static_cast<Addr>(ev.block)
@@ -532,7 +459,6 @@ void
 MnmUnit::onFlush(CacheId id)
 {
     PhaseScope prof(Phase::UpdateFeed);
-    ++state_epoch_;
     PerCache &pc = per_cache_[id];
     for (auto &filter : pc.filters)
         filter->onFlush();

@@ -17,6 +17,12 @@
  *
  * The caller drives the charging via chargeLookup() after it knows the
  * L1 outcome; update energy is accrued automatically from the event feed.
+ *
+ * Verdicts have two implementations: the SoA verdict program's scalar
+ * pass (core/soa_state.hh), the fast path, and the virtual MissFilter
+ * walk under setReferenceDispatch(), the reference the tests compare
+ * against. The simulators ask for one verdict per access, so the fast
+ * path needs no vector pass.
  */
 
 #ifndef MNM_CORE_MNM_UNIT_HH
@@ -34,7 +40,6 @@
 #include "core/soa_state.hh"
 #include "core/update_plan.hh"
 #include "core/verdict_plan.hh"
-#include "util/cpu.hh"
 #include "util/types.hh"
 
 namespace mnm
@@ -103,37 +108,33 @@ class MnmUnit : public CacheEventListener
     /**
      * Produce the per-cache bypass verdicts for one access. Pure with
      * respect to filter state; verdict statistics are recorded.
-     * Dispatches through the compiled verdict plan by default, or the
-     * single-step virtual reference path under setReferenceDispatch().
+     * Evaluates the SoA verdict program by default (computeCandidates
+     * for one address + finishBypass), or the single-step virtual
+     * reference path under setReferenceDispatch().
      */
     BypassMask computeBypass(AccessType type, Addr addr);
 
     /**
-     * Batch verdict interface (the SoA/SIMD fast path; sim/memory_sim).
+     * Split verdict interface (the SoA fast path; sim/memory_sim).
      *
      * computeCandidates() fills @p cand with one raw candidate mask per
      * address: the pre-guard "definite miss" bits the compiled plan
      * would produce against CURRENT filter state. It is pure -- no
-     * statistics, no energy, no guard checks -- so candidates may be
-     * computed ahead of time and consumed later, PROVIDED stateEpoch()
-     * has not moved in between (any placement/replacement/flush/fault
-     * touching verdict-relevant state bumps the epoch; recompute the
-     * not-yet-consumed tail when it does).
+     * statistics, no energy, no guard checks. The simulators ask for
+     * one address at a time and consume the candidate at once; a
+     * candidate is stale as soon as any placement, replacement, flush
+     * or fault has touched level >= 2 state.
      *
      * finishBypass() then turns one candidate into the final verdict
      * exactly as computeBypass() would have: it performs the per-access
      * bookkeeping, applies oracle guards against live cache contents,
-     * and records violations. computeBypass(type, addr) is equivalent
-     * to computeCandidates(..1..) + finishBypass on every backend.
+     * and records violations. computeBypass(type, addr) is exactly
+     * computeCandidates(..1..) + finishBypass.
      */
     void computeCandidates(AccessType type, const Addr *addrs,
                            std::uint32_t *cand, std::size_t n);
     BypassMask finishBypass(AccessType type, Addr addr,
                             std::uint32_t cand);
-
-    /** True when the fetch and data paths compile to the same verdict
-     *  plan: any access type may then share one candidate span. */
-    bool plansIdentical() const { return plans_identical_; }
 
     /** Whether @p type's plan has any oracle-guarded step. Guard-free
      *  verdicts are pure data with no per-verdict statistics, so a
@@ -149,7 +150,8 @@ class MnmUnit : public CacheEventListener
 
     /** The per-access bookkeeping finishBypass performs, for accesses
      *  whose verdict is provably unread. Keeping the counts identical
-     *  to the verdict path keeps every backend's outputs identical. */
+     *  to the verdict path keeps the L1-peek path's outputs identical
+     *  to the per-access one. */
     void
     noteLookup()
     {
@@ -167,16 +169,6 @@ class MnmUnit : public CacheEventListener
                                                   : soa_data_,
                     addr);
     }
-
-    /** Monotone stamp of all verdict-relevant MNM state; candidates
-     *  are valid only while it holds still. */
-    std::uint64_t stateEpoch() const { return state_epoch_; }
-
-    /** Kernel backend behind computeBypass/computeCandidates. Defaults
-     *  to the MNM_SIMD environment knob (util/cpu.hh); Off preserves
-     *  the legacy per-access plan walk with no SoA programs. */
-    void setSimdBackend(SimdBackend backend) { backend_ = backend; }
-    SimdBackend simdBackend() const { return backend_; }
 
     /** Charge one structure probe (caller decides per placement). */
     void chargeLookup() { ++lookup_charges_; }
@@ -331,9 +323,6 @@ class MnmUnit : public CacheEventListener
     /** The single-step reference walk computeBypass falls back to. */
     BypassMask computeBypassReference(AccessType type, Addr addr);
 
-    /** The legacy (MNM_SIMD=off) per-access plan walk. */
-    BypassMask computeBypassLegacy(AccessType type, Addr addr);
-
     /** Flatten the filter fan-out and the per-path walks into plans. */
     void compilePlans();
 
@@ -359,21 +348,13 @@ class MnmUnit : public CacheEventListener
     bool reference_dispatch_ = false;
     bool reference_feed_ = false;
 
-    /** SoA lowerings of the walk plans (batch/SIMD verdict path). */
+    /** SoA lowerings of the walk plans (the verdict fast path). */
     SoaProgram soa_instr_;
     SoaProgram soa_data_;
-    /** Both paths traverse the same level >= 2 caches (the common
-     *  split-L1-only topology), so a batch may chunk verdict spans
-     *  across fetch/data boundaries. */
-    bool plans_identical_ = false;
     /** Any oracle-guarded step on the path? Guard-free plans turn a
      *  candidate mask into the final BypassMask with no per-step loop. */
     bool instr_guards_ = false;
     bool data_guards_ = false;
-    /** Bumped by every mutation verdicts can observe; starts at 1 so
-     *  precomputed candidate spans are validated against a live value. */
-    std::uint64_t state_epoch_ = 1;
-    SimdBackend backend_ = SimdBackend::Off;
 
     PicoJoules lookup_energy_pj_ = 0.0;
     /** RMNM write energy, charged once per access burst: the fill

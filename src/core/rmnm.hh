@@ -160,9 +160,10 @@ class Rmnm
      *  addresses at the coarsest granule every structure shares). */
     unsigned granuleBits() const { return granule_bits_; }
 
-    /** Hint the set covering @p addr into cache ahead of a batch of
-     *  missBits() probes; the SoA kernels issue these one chunk ahead
-     *  so the random-indexed entry rows are resident when walked. */
+    /** Hint the set covering @p addr into cache ahead of its
+     *  missBits() probe; the SoA kernel and the simulators' lookahead
+     *  issue these ahead so the random-indexed entry rows are resident
+     *  when walked. */
     void
     prefetch(Addr addr) const
     {

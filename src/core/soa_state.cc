@@ -6,8 +6,8 @@ namespace mnm
 {
 
 void
-soaComputeScalar(const SoaProgram &program, const Addr *addrs,
-                 std::uint32_t *cand, std::size_t n)
+soaCompute(const SoaProgram &program, const Addr *addrs,
+           std::uint32_t *cand, std::size_t n)
 {
     const SoaStep *steps = program.steps.data();
     const std::size_t num_steps = program.steps.size();

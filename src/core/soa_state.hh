@@ -3,18 +3,17 @@
  * Structure-of-arrays verdict program: the batched form of the MNM's
  * compiled verdict plan.
  *
- * The MnmUnit's per-access plan walk (core/mnm_unit.cc) chases a
- * FilterKernel pointer per filter and re-derives each filter's
- * geometry behind a method call. For batch processing that indirection
- * dominates, so at plan-compile time the unit lowers each access path
- * into a SoaProgram: a flat array of steps (one per level >= 2 cache on
- * the path) over a flat array of ops (one per filter), each op carrying
- * raw pointers to the filter's live counter/state tables plus every
- * constant the probe needs (shifts, masks, SMNM segment LUTs).
+ * The MnmUnit's filters sit behind a FilterKernel pointer per filter,
+ * and each filter re-derives its geometry behind a method call. At
+ * plan-compile time the unit lowers each access path into a
+ * SoaProgram instead: a flat array of steps (one per level >= 2 cache
+ * on the path) over a flat array of ops (one per filter), each op
+ * carrying raw pointers to the filter's live counter/state tables plus
+ * every constant the probe needs (shifts, masks, SMNM segment LUTs).
  *
  * The tables are BORROWED, never copied: an op's pointer aliases the
  * owning filter's storage, so filter updates and injected faults
- * (core/fault_inject.hh) are visible to the kernels by construction --
+ * (core/fault_inject.hh) are visible to the kernel by construction --
  * the coherence soa_state_test proves. The program only ever reads;
  * all mutation stays with the filter objects.
  *
@@ -22,11 +21,10 @@
  * writes one raw candidate mask per address: bit c set means the plan
  * would verdict "definite miss" for cache id c BEFORE oracle guarding.
  * Guarding, statistics, and energy accounting happen at consumption
- * time in MnmUnit::finishBypass(), which keeps candidates pure data --
- * cacheable, recomputable, and identical across backends. Backends:
- * the scalar pass below, an 8-wide AVX2 pass (core/kernels_avx2.cc),
- * and a NEON pass (core/kernels_neon.cc); all bit-identical, selected
- * per MNM_SIMD (util/cpu.hh).
+ * time in MnmUnit::finishBypass(), which keeps candidates pure data.
+ * There is one implementation, a scalar pass: every caller on the
+ * simulators' hot paths asks for one address at a time (n = 1), so a
+ * vector pass would never see a full group of lanes.
  */
 
 #ifndef MNM_CORE_SOA_STATE_HH
@@ -41,7 +39,6 @@
 #include "core/smnm.hh"
 #include "core/tmnm.hh"
 #include "core/verdict_plan.hh"
-#include "util/cpu.hh"
 #include "util/types.hh"
 
 namespace mnm
@@ -69,9 +66,8 @@ struct SoaOp
     std::uint32_t tm_replication = 0;
 
     /** CMNM, Monotone policy: the live register file and counter
-     *  table, plus the geometry, so the CAM walk runs inline per lane
-     *  (data-dependent matching keeps it scalar even in the SIMD
-     *  backends, but the call and the spec reloads are gone). */
+     *  table, plus the geometry, so the CAM walk runs inline (no call,
+     *  no spec reloads). */
     const Cmnm::VtagRegister *cm_regs = nullptr;
     const std::uint8_t *cm_counters = nullptr;
     std::uint32_t cm_num_regs = 0;
@@ -103,8 +99,8 @@ struct SoaProgram
     bool perfect = false;
 };
 
-/** Evaluate one op for one block address (shared by every backend's
- *  scalar lanes). Reads only; bit-identical to the filter's missHot. */
+/** Evaluate one op for one block address. Reads only; bit-identical
+ *  to the filter's missHot. */
 inline bool
 soaOpMiss(const SoaOp &op, BlockAddr block)
 {
@@ -165,8 +161,8 @@ soaOpMiss(const SoaOp &op, BlockAddr block)
  * Hint every table line the program will read for @p addr. The table
  * INDICES are pure functions of the address (state changes cell
  * values, never cell locations), so the hints can be issued any
- * distance ahead of the verdict -- epoch churn that forces a verdict
- * recompute still reads the same, now-resident lines. The dependent
+ * distance ahead of the verdict -- state churn between hint and
+ * verdict still reads the same, now-resident lines. The dependent
  * loads here (segment LUTs, the register file) are small and stay
  * cache-hot; the big randomly-indexed state tables are only hinted.
  */
@@ -227,51 +223,9 @@ soaPrefetch(const SoaProgram &program, Addr addr)
     }
 }
 
-/** Scalar pass: candidates for @p n addresses into @p cand. */
-void soaComputeScalar(const SoaProgram &program, const Addr *addrs,
-                      std::uint32_t *cand, std::size_t n);
-
-#if defined(__x86_64__) || defined(_M_X64)
-/** 8-wide AVX2 pass (core/kernels_avx2.cc). Call only when
- *  cpuHasAvx2(); falls back to the scalar pass per chunk whenever an
- *  address exceeds the 32-bit lane width. */
-void soaComputeAvx2(const SoaProgram &program, const Addr *addrs,
-                    std::uint32_t *cand, std::size_t n);
-#endif
-
-#if defined(__aarch64__)
-/** 4-lane NEON pass (core/kernels_neon.cc). */
-void soaComputeNeon(const SoaProgram &program, const Addr *addrs,
-                    std::uint32_t *cand, std::size_t n);
-#endif
-
-/** Dispatch on the backend (Off callers never reach the program). */
-inline void
-soaCompute(const SoaProgram &program, const Addr *addrs,
-           std::uint32_t *cand, std::size_t n, SimdBackend backend)
-{
-    // The perfect oracle probes cache tag arrays, not SoA tables;
-    // every backend serves it with the scalar pass.
-    if (program.perfect) {
-        soaComputeScalar(program, addrs, cand, n);
-        return;
-    }
-    switch (backend) {
-#if defined(__x86_64__) || defined(_M_X64)
-      case SimdBackend::Avx2:
-        soaComputeAvx2(program, addrs, cand, n);
-        return;
-#endif
-#if defined(__aarch64__)
-      case SimdBackend::Neon:
-        soaComputeNeon(program, addrs, cand, n);
-        return;
-#endif
-      default:
-        soaComputeScalar(program, addrs, cand, n);
-        return;
-    }
-}
+/** Candidates for @p n addresses into @p cand. */
+void soaCompute(const SoaProgram &program, const Addr *addrs,
+                std::uint32_t *cand, std::size_t n);
 
 } // namespace mnm
 

@@ -5,10 +5,11 @@
  * At construction the MnmUnit flattens every cache's
  * std::vector<std::unique_ptr<MissFilter>> fan-out into one contiguous
  * array of FilterKernel records: a type tag plus a pointer to the
- * concrete filter object. The hot paths (computeBypass and the
- * placement/replacement event feed) dispatch through a switch on the
- * tag and call the filters' non-virtual *Hot methods, which inline into
- * the simulators' inner loops; the virtual MissFilter interface on the
+ * concrete filter object. The placement/replacement event feed
+ * dispatches through a switch on the tag and calls the filters'
+ * non-virtual *Hot methods, which inline into the simulators' inner
+ * loops; verdicts run through the SoA program lowered from the same
+ * records (core/soa_state.hh). The virtual MissFilter interface on the
  * very same objects remains the cold-path surface (naming, power,
  * storage bits, anomaly counts, fault injection, tests).
  *
@@ -58,21 +59,6 @@ struct FilterKernel
     FilterKind kind;
     MissFilter *filter;
 };
-
-/** Hot-path lookup: is @p block definitely absent per this filter? */
-inline bool
-kernelDefinitelyMiss(const FilterKernel &k, BlockAddr block)
-{
-    switch (k.kind) {
-      case FilterKind::Smnm:
-        return static_cast<const Smnm *>(k.filter)->missHot(block);
-      case FilterKind::Tmnm:
-        return static_cast<const Tmnm *>(k.filter)->missHot(block);
-      case FilterKind::Cmnm:
-        return static_cast<const Cmnm *>(k.filter)->missHot(block);
-    }
-    panic("unreachable filter kind");
-}
 
 /** Hot-path event feed: @p block was placed into the attached cache. */
 inline void

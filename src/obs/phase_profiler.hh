@@ -58,14 +58,14 @@ enum class Phase : std::uint8_t
 {
     Run,        //!< MemorySimulator::run root (self = loop overhead)
     BatchGen,   //!< workload batch generation + deadline polling
-    L1Peek,     //!< stage-2a L1 hit peek loop (self = peeks + control)
+    L1Peek,     //!< fast-path L1 hit peek loop (self = peeks + control)
     Verdict,    //!< MNM verdict kernels (computeCandidates/computeBypass)
     HierWalk,   //!< cache hierarchy walk per access (performAccess)
     UpdateFeed, //!< MnmUnit on{Placement,Replacement,Flush} walks
     Cold,       //!< post-run cold accounting (energy fold, drains)
     FeedDrain,  //!< batched event-ring drain through update kernels
     GenOverlap, //!< MNM_OVERLAP: wait/handoff for producer-built batches
-    LaneDescent, //!< stage-2a queued-lane L2+ descent (walk + accounting)
+    LaneDescent, //!< fast-path queued-lane L2+ descent (walk + accounting)
 };
 
 inline constexpr int num_phases = 10;

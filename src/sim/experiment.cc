@@ -15,11 +15,6 @@
 namespace mnm
 {
 
-namespace
-{
-
-/** Parse @p env as a whole-string decimal integer in [min, max];
- *  anything else (trailing junk, overflow, empty) is fatal. */
 unsigned long long
 parseEnvU64(const char *name, const char *env, unsigned long long min,
             unsigned long long max)
@@ -37,6 +32,9 @@ parseEnvU64(const char *name, const char *env, unsigned long long min,
     }
     return v;
 }
+
+namespace
+{
 
 /** Parse @p env as exactly "0" or "1". */
 bool

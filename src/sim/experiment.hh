@@ -125,6 +125,13 @@ struct ExperimentOptions
     static std::string shortName(const std::string &app);
 };
 
+/** Parse @p env, the value of knob @p name, as a whole-string decimal
+ *  integer in [@p min, @p max]; anything else (a sign, trailing junk,
+ *  overflow, empty) is fatal and names the knob. */
+unsigned long long parseEnvU64(const char *name, const char *env,
+                               unsigned long long min,
+                               unsigned long long max);
+
 /**
  * Run one workload through a fresh functional simulator: a warm-up
  * window (10% of the budget, accounting discarded) followed by the

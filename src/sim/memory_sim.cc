@@ -153,241 +153,184 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
     const std::uint8_t *const req_type = batch.kind;
     result.fetch_requests += batch.fetch_requests;
     result.data_requests += batch.data_requests;
+    constexpr std::size_t prefetch_requests = 12;
 
-    // Stage 2a, guard-free plans (every sound config): a request that
-    // hits its level-1 cache never consults the bypass mask -- the
-    // walk stops before the first planned level -- and a guard-free
-    // verdict carries no per-verdict statistics, so the verdict is
-    // provably dead data. Probe L1 directly (the verdict reads only
-    // filter state, never level-1 replacement state, so probing first
-    // changes no verdict): a hit completes the whole access right
-    // here -- the L1-hit accounting below is performAccess() on an
-    // L1 hit, term for term -- and only the L1-missing minority pays
-    // a verdict and the below-L1 walk.
-    if (!mnm_->planGuarded(AccessType::InstFetch) &&
-        !mnm_->planGuarded(AccessType::Load)) {
-        // L1Peek self time = the lookahead peeks, prefetch hints, and
-        // loop control; Verdict, HierWalk, and LaneDescent open nested
-        // scopes.
-        ProfScope<with_prof> prof(Phase::L1Peek);
-        const Cache &l1d = hierarchy_.cacheAt(1, AccessType::Load);
-        Cache &l1i_mut = hierarchy_.cacheAt(1, AccessType::InstFetch);
-        Cache &l1d_mut = hierarchy_.cacheAt(1, AccessType::Load);
-        const CacheId l1i_id = hierarchy_.path(AccessType::InstFetch)[0];
-        const CacheId l1d_id = hierarchy_.path(AccessType::Load)[0];
-        const Cycles l1i_hit_latency = l1i.params().hit_latency;
-        const Cycles l1d_hit_latency = l1d.params().hit_latency;
-        // applyPlacementCosts() on an L1 hit: Parallel charges its
-        // always-on lookup, Serial and Distributed add nothing.
-        const bool charge_parallel =
-            !mnm_->spec().perfect &&
-            mnm_->spec().placement == MnmPlacement::Parallel;
-
-        // Lane queue: an L1 miss is *queued* instead of walked on the
-        // spot, and queued lanes descend together in descendLanes().
-        // This is exactly the sequential semantics as long as nothing
-        // reads state a queued lane's deferred walk would have written:
-        //  - An L1 miss probe has no replacement side effects, and the
-        //    deferred walk's only L1 mutation is the fill of the lane's
-        //    own set -- so a pending-set bitmap per L1 structure guards
-        //    every L1 probe, and a collision flushes the queue first.
-        //  - Hit lanes between enqueue and flush touch only integer
-        //    counters (noteLookup/chargeLookup/stats; the burst flag is
-        //    re-reset by every access before use), all order-exact.
-        //  - Verdicts and L2+ state move only inside the flush, lane by
-        //    lane in request order -- each verdict sees every prior
-        //    lane's fills and feed updates, exactly as sequentially.
-        // Inclusive hierarchies break the first invariant (a deferred
-        // walk can back-invalidate any L1 set), so they keep the
-        // immediate walk. The win: enqueue-time prefetchDescent gives
-        // the L2/L3 set rows the whole queue-residency distance to
-        // arrive, where the immediate walk took their miss latency on
-        // the critical path.
-        const bool use_lanes = hierarchy_.params().inclusion ==
-                               InclusionPolicy::NonInclusive;
-        constexpr std::size_t lane_queue_capacity = 32;
-        DescentLane lanes[lane_queue_capacity];
-        std::uint64_t *lane_word[lane_queue_capacity];
-        std::uint64_t lane_bit[lane_queue_capacity];
-        std::size_t num_lanes = 0;
-        if (use_lanes && pending_sets_[0].empty()) {
-            pending_sets_[0].assign((l1i.numSets() + 63) / 64, 0);
-            if (l1i_id != l1d_id)
-                pending_sets_[1].assign((l1d.numSets() + 63) / 64, 0);
-        }
-        std::uint64_t *const pend_i = pending_sets_[0].data();
-        std::uint64_t *const pend_d = l1i_id != l1d_id
-                                          ? pending_sets_[1].data()
-                                          : pending_sets_[0].data();
-
-        const auto flush_lanes = [&] {
-            if (num_lanes == 0)
-                return;
-            // LaneDescent self time = the queued walks + accounting +
-            // loop; each lane's verdict opens a nested Verdict scope.
-            ProfScope<with_prof> prof_lanes(Phase::LaneDescent);
-            hierarchy_.descendLanes(
-                lanes, num_lanes,
-                [&](const DescentLane &lane) {
-                    ProfScope<with_prof> prof_verdict(Phase::Verdict);
-                    std::uint32_t cand;
-                    mnm_->computeCandidates(lane.type, &lane.addr,
-                                            &cand, 1);
-                    return mnm_->finishBypass(lane.type, lane.addr,
-                                              cand);
-                },
-                [&](const DescentLane &, const AccessResult &access) {
-                    accountAccess(access, result);
-                });
-            for (std::size_t i = 0; i < num_lanes; ++i)
-                *lane_word[i] &= ~lane_bit[i];
-            num_lanes = 0;
-        };
-
-        constexpr std::size_t prefetch_requests = 12;
+    // No MNM, or a guarded plan (unsound ablations, oracle checking,
+    // where every verdict is consumed because guards record
+    // violations): one request at a time, exactly the reference
+    // engine's order. Hint the filter-table lines a fixed request
+    // distance ahead -- far enough to cover the tables' miss latency,
+    // near enough that the lines survive until use. Table indices are
+    // pure in the address, so state churn between hint and verdict
+    // cannot misdirect them.
+    if (!mnm_ || mnm_->planGuarded(AccessType::InstFetch) ||
+        mnm_->planGuarded(AccessType::Load)) {
         for (std::size_t k = 0; k < n; ++k) {
-            const AccessType type =
-                static_cast<AccessType>(req_type[k]);
-            const bool is_instr = type == AccessType::InstFetch;
-            // Two-tier lookahead. Far tier: hint the L1 tag row so
-            // both the near tier's peek and the eventual probe scan
-            // resident lines. Near tier: hint the filter tables, gated
-            // on an L1 peek -- hints for L1-hitting requests would be
-            // dead weight. The peek against current state is only a
-            // heuristic for future state; a wrong guess costs a missed
-            // hint, never correctness.
-            if (k + prefetch_requests < n) {
-                const std::size_t f = k + prefetch_requests;
-                const AccessType ftype =
-                    static_cast<AccessType>(req_type[f]);
-                const Cache &fl1 =
-                    ftype == AccessType::InstFetch ? l1i : l1d;
-                if (!fl1.contains(fl1.blockAddr(req_addr[f])))
-                    mnm_->prefetchCandidates(ftype, req_addr[f]);
-            }
-            Cache &l1 = is_instr ? l1i_mut : l1d_mut;
-            const BlockAddr block = l1.blockAddr(req_addr[k]);
-            std::uint64_t *word = nullptr;
-            std::uint64_t bit = 0;
-            if (use_lanes && num_lanes > 0) {
-                // A queued lane's deferred walk will fill its own L1
-                // set; a probe of that set must not run ahead of it.
-                const std::uint32_t set = l1.setIndex(block);
-                word = (is_instr ? pend_i : pend_d) + (set >> 6);
-                bit = std::uint64_t{1} << (set & 63);
-                if (*word & bit)
-                    flush_lanes();
-            }
-            bool hit;
-            {
-                ProfScope<with_prof> prof_walk(Phase::HierWalk);
-                hit = l1.probe(block, type == AccessType::Store);
-                if (hit) {
-                    ++result.requests;
-                    result.total_access_cycles +=
-                        is_instr ? l1i_hit_latency : l1d_hit_latency;
-                    ++event_counts_[is_instr ? l1i_id : l1d_id]
-                          .probe_hit;
-                }
-            }
-            if (hit) {
-                mnm_->noteLookup();
-                if (charge_parallel)
-                    mnm_->chargeLookup();
-                continue;
-            }
-            if (use_lanes) {
-                if (!word) {
-                    const std::uint32_t set = l1.setIndex(block);
-                    word = (is_instr ? pend_i : pend_d) + (set >> 6);
-                    bit = std::uint64_t{1} << (set & 63);
-                }
-                lanes[num_lanes] =
-                    DescentLane{req_addr[k], type};
-                lane_word[num_lanes] = word;
-                lane_bit[num_lanes] = bit;
-                *word |= bit;
-                ++num_lanes;
-                hierarchy_.prefetchDescent(type, req_addr[k]);
-                if (num_lanes == lane_queue_capacity)
-                    flush_lanes();
-                continue;
-            }
-            BypassMask mask;
-            {
-                ProfScope<with_prof> prof_verdict(Phase::Verdict);
-                std::uint32_t cand;
-                mnm_->computeCandidates(type, req_addr + k,
-                                        &cand, 1);
-                mask = mnm_->finishBypass(type, req_addr[k], cand);
-            }
-            performAccess<with_prof, true>(type, req_addr[k], mask,
-                                           result);
-        }
-        flush_lanes();
-        return;
-    }
-
-    // Stage 2b, guarded plans (unsound ablations, oracle checking):
-    // every verdict is consumed -- guards record violations -- so run
-    // same-plan requests through the SoA kernels a chunk at a time,
-    // then consume in order. Consumption can move MNM state (fills,
-    // evictions, flushes); the epoch check recomputes the
-    // not-yet-consumed tail whenever it does, so every access sees
-    // exactly the verdict the per-access path would have produced
-    // against the same state.
-    // Verdict self time = the chunked SoA kernels, finishBypass, and
-    // chunk control; each access's HierWalk scope nests inside.
-    ProfScope<with_prof> prof_verdict(Phase::Verdict);
-    if (req_cand_.empty())
-        req_cand_.reset(RequestBatch::capacity);
-    constexpr std::size_t chunk_lanes = 8;
-    const std::uint8_t fetch_tag =
-        static_cast<std::uint8_t>(AccessType::InstFetch);
-    // With split L1s over a unified L2+ spine (the common topology),
-    // the fetch and data plans compile identically, so a chunk may
-    // span plan switches -- the stream alternates types every couple
-    // of requests, and same-plan runs alone would cap chunks there.
-    const bool any_plan = mnm_->plansIdentical();
-    std::size_t i = 0;
-    while (i < n) {
-        const bool fetch = req_type[i] == fetch_tag;
-        std::size_t j = i + 1;
-        while (j < n && j - i < chunk_lanes &&
-               (any_plan || (req_type[j] == fetch_tag) == fetch)) {
-            ++j;
-        }
-        const AccessType plan_type =
-            fetch ? AccessType::InstFetch : AccessType::Load;
-        std::uint64_t epoch = mnm_->stateEpoch();
-        mnm_->computeCandidates(plan_type, req_addr + i,
-                                req_cand_.data() + i, j - i);
-        for (std::size_t k = i; k < j; ++k) {
-            if (mnm_->stateEpoch() != epoch) {
-                epoch = mnm_->stateEpoch();
-                mnm_->computeCandidates(plan_type, req_addr + k,
-                                        req_cand_.data() + k, j - k);
-            }
-            // Hint the filter-table lines a fixed request distance
-            // ahead -- far enough to cover the tables' miss latency,
-            // near enough that the lines survive until use. Table
-            // indices are pure in the address, so epoch churn between
-            // hint and verdict cannot misdirect them.
-            constexpr std::size_t prefetch_requests = 12;
-            if (k + prefetch_requests < n) {
+            if (mnm_ && k + prefetch_requests < n) {
                 mnm_->prefetchCandidates(
                     static_cast<AccessType>(
                         req_type[k + prefetch_requests]),
                     req_addr[k + prefetch_requests]);
             }
-            const AccessType type =
-                static_cast<AccessType>(req_type[k]);
-            BypassMask mask =
-                mnm_->finishBypass(type, req_addr[k], req_cand_[k]);
-            performAccess<with_prof>(type, req_addr[k], mask, result);
+            request<with_prof>(static_cast<AccessType>(req_type[k]),
+                               req_addr[k], result);
         }
-        i = j;
+        return;
     }
+
+    // Guard-free plans (every sound config): a request that hits its
+    // level-1 cache never consults the bypass mask -- the walk stops
+    // before the first planned level -- and a guard-free verdict
+    // carries no per-verdict statistics, so the verdict is provably
+    // dead data. Probe L1 directly (the verdict reads only filter
+    // state, never level-1 replacement state, so probing first changes
+    // no verdict): a hit completes the whole access right here -- the
+    // L1-hit accounting below is performAccess() on an L1 hit, term
+    // for term -- and only the L1-missing minority pays a verdict and
+    // the below-L1 walk.
+    //
+    // L1Peek self time = the lookahead peeks, prefetch hints, and
+    // loop control; Verdict, HierWalk, and LaneDescent open nested
+    // scopes.
+    ProfScope<with_prof> prof(Phase::L1Peek);
+    const Cache &l1d = hierarchy_.cacheAt(1, AccessType::Load);
+    Cache &l1i_mut = hierarchy_.cacheAt(1, AccessType::InstFetch);
+    Cache &l1d_mut = hierarchy_.cacheAt(1, AccessType::Load);
+    const CacheId l1i_id = hierarchy_.path(AccessType::InstFetch)[0];
+    const CacheId l1d_id = hierarchy_.path(AccessType::Load)[0];
+    const Cycles l1i_hit_latency = l1i.params().hit_latency;
+    const Cycles l1d_hit_latency = l1d.params().hit_latency;
+    // applyPlacementCosts() on an L1 hit: Parallel charges its
+    // always-on lookup, Serial and Distributed add nothing.
+    const bool charge_parallel =
+        !mnm_->spec().perfect &&
+        mnm_->spec().placement == MnmPlacement::Parallel;
+
+    // Lane queue: an L1 miss is *queued* instead of walked on the
+    // spot, and queued lanes descend together in descendLanes().
+    // This is exactly the sequential semantics as long as nothing
+    // reads state a queued lane's deferred walk would have written:
+    //  - An L1 miss probe has no replacement side effects, and the
+    //    deferred walk's only L1 mutation is the fill of the lane's
+    //    own set -- so a pending-set bitmap per L1 structure guards
+    //    every L1 probe, and a collision flushes the queue first.
+    //  - Hit lanes between enqueue and flush touch only integer
+    //    counters (noteLookup/chargeLookup/stats; the burst flag is
+    //    re-reset by every access before use), all order-exact.
+    //  - Verdicts and L2+ state move only inside the flush, lane by
+    //    lane in request order -- each verdict sees every prior
+    //    lane's fills and feed updates, exactly as sequentially.
+    // Inclusive hierarchies break the first invariant (a deferred
+    // walk can back-invalidate any L1 set), so they keep the
+    // immediate walk. The win: enqueue-time prefetchDescent gives
+    // the L2/L3 set rows the whole queue-residency distance to
+    // arrive, where the immediate walk took their miss latency on
+    // the critical path.
+    const bool use_lanes = hierarchy_.params().inclusion ==
+                           InclusionPolicy::NonInclusive;
+    constexpr std::size_t lane_queue_capacity = 32;
+    DescentLane lanes[lane_queue_capacity];
+    std::uint64_t *lane_word[lane_queue_capacity];
+    std::uint64_t lane_bit[lane_queue_capacity];
+    std::size_t num_lanes = 0;
+    if (use_lanes && pending_sets_[0].empty()) {
+        pending_sets_[0].assign((l1i.numSets() + 63) / 64, 0);
+        if (l1i_id != l1d_id)
+            pending_sets_[1].assign((l1d.numSets() + 63) / 64, 0);
+    }
+    std::uint64_t *const pend_i = pending_sets_[0].data();
+    std::uint64_t *const pend_d = l1i_id != l1d_id ? pending_sets_[1].data()
+                                                   : pending_sets_[0].data();
+
+    const auto flush_lanes = [&] {
+        if (num_lanes == 0)
+            return;
+        // LaneDescent self time = the queued walks + accounting +
+        // loop; each lane's verdict opens a nested Verdict scope.
+        ProfScope<with_prof> prof_lanes(Phase::LaneDescent);
+        hierarchy_.descendLanes(
+            lanes, num_lanes,
+            [&](const DescentLane &lane) {
+                ProfScope<with_prof> prof_verdict(Phase::Verdict);
+                return mnm_->computeBypass(lane.type, lane.addr);
+            },
+            [&](const DescentLane &, const AccessResult &access) {
+                accountAccess(access, result);
+            });
+        for (std::size_t i = 0; i < num_lanes; ++i)
+            *lane_word[i] &= ~lane_bit[i];
+        num_lanes = 0;
+    };
+
+    for (std::size_t k = 0; k < n; ++k) {
+        const AccessType type = static_cast<AccessType>(req_type[k]);
+        const bool is_instr = type == AccessType::InstFetch;
+        // Lookahead: hint the filter tables a fixed request distance
+        // ahead, gated on an L1 peek -- hints for L1-hitting requests
+        // would be dead weight. The peek against current state is only
+        // a heuristic for future state; a wrong guess costs a missed
+        // hint, never correctness.
+        if (k + prefetch_requests < n) {
+            const std::size_t f = k + prefetch_requests;
+            const AccessType ftype = static_cast<AccessType>(req_type[f]);
+            const Cache &fl1 = ftype == AccessType::InstFetch ? l1i : l1d;
+            if (!fl1.contains(fl1.blockAddr(req_addr[f])))
+                mnm_->prefetchCandidates(ftype, req_addr[f]);
+        }
+        Cache &l1 = is_instr ? l1i_mut : l1d_mut;
+        const BlockAddr block = l1.blockAddr(req_addr[k]);
+        std::uint64_t *word = nullptr;
+        std::uint64_t bit = 0;
+        if (use_lanes && num_lanes > 0) {
+            // A queued lane's deferred walk will fill its own L1
+            // set; a probe of that set must not run ahead of it.
+            const std::uint32_t set = l1.setIndex(block);
+            word = (is_instr ? pend_i : pend_d) + (set >> 6);
+            bit = std::uint64_t{1} << (set & 63);
+            if (*word & bit)
+                flush_lanes();
+        }
+        bool hit;
+        {
+            ProfScope<with_prof> prof_walk(Phase::HierWalk);
+            hit = l1.probe(block, type == AccessType::Store);
+            if (hit) {
+                ++result.requests;
+                result.total_access_cycles +=
+                    is_instr ? l1i_hit_latency : l1d_hit_latency;
+                ++event_counts_[is_instr ? l1i_id : l1d_id].probe_hit;
+            }
+        }
+        if (hit) {
+            mnm_->noteLookup();
+            if (charge_parallel)
+                mnm_->chargeLookup();
+            continue;
+        }
+        if (use_lanes) {
+            if (!word) {
+                const std::uint32_t set = l1.setIndex(block);
+                word = (is_instr ? pend_i : pend_d) + (set >> 6);
+                bit = std::uint64_t{1} << (set & 63);
+            }
+            lanes[num_lanes] = DescentLane{req_addr[k], type};
+            lane_word[num_lanes] = word;
+            lane_bit[num_lanes] = bit;
+            *word |= bit;
+            ++num_lanes;
+            hierarchy_.prefetchDescent(type, req_addr[k]);
+            if (num_lanes == lane_queue_capacity)
+                flush_lanes();
+            continue;
+        }
+        BypassMask mask;
+        {
+            ProfScope<with_prof> prof_verdict(Phase::Verdict);
+            mask = mnm_->computeBypass(type, req_addr[k]);
+        }
+        performAccess<with_prof, true>(type, req_addr[k], mask, result);
+    }
+    flush_lanes();
 }
 
 MemSimResult
@@ -422,115 +365,60 @@ MemorySimulator::run(WorkloadGenerator &workload,
                 step<false>(inst, l1i, result);
         }
     } else {
-        const bool batch_verdicts =
-            mnm_ && mnm_->simdBackend() != SimdBackend::Off;
+        // The fast path: the consumption unit is the derived request
+        // stream itself (nextRequests() fuses generation with stage-1
+        // derivation). The fetch-line dedup threads the simulator's
+        // persistent state through whichever producer runs -- with a
+        // producer thread, the pipeline's slot handoff orders every
+        // dedup write before this thread's reads. The watchdog polls
+        // per batch: at most ~4096 instructions of extra latency
+        // before a cell deadline is noticed, well inside the
+        // second-scale timeouts MNM_CELL_TIMEOUT_S expresses.
+        FetchDedup dedup{l1i.blockBits(), cur_fetch_line_};
+        auto consume = [&](const RequestBatch &batch) {
+            if (with_prof)
+                runBatchRequests<true>(batch, l1i, result);
+            else
+                runBatchRequests<false>(batch, l1i, result);
+        };
         std::uint64_t remaining = instructions;
-        if (batch_verdicts) {
-            // Batch-verdict path: the consumption unit is the derived
-            // request stream itself (nextRequests() fuses generation
-            // with stage-1 derivation). The fetch-line dedup threads
-            // the simulator's persistent state through whichever
-            // producer runs -- with a producer thread, the pipeline's
-            // slot handoff orders every dedup write before this
-            // thread's reads.
-            FetchDedup dedup{l1i.blockBits(), cur_fetch_line_};
-            auto consume = [&](const RequestBatch &batch) {
-                if (with_prof)
-                    runBatchRequests<true>(batch, l1i, result);
-                else
-                    runBatchRequests<false>(batch, l1i, result);
-            };
-            if (overlap_) {
-                // Stage-decoupled generation: the pipeline produces
-                // batch N+1 (producer thread or software-pipelined
-                // slice) while this thread consumes batch N.
-                // Attribution stays honest: a synchronous pipeline is
-                // still generation (BatchGen); only a real producer
-                // thread turns this scope into overlap wait/handoff
-                // (GenOverlap).
-                RequestPipeline pipeline(workload, dedup, instructions);
-                const Phase gen_phase = pipeline.synchronous()
-                                            ? Phase::BatchGen
-                                            : Phase::GenOverlap;
-                while (remaining > 0) {
-                    const RequestBatch *batch;
-                    {
-                        PhaseScope prof(gen_phase);
-                        pollCellDeadlineBatch();
-                        batch = pipeline.acquire();
-                    }
-                    MNM_ASSERT(batch,
-                               "request pipeline ran dry before the "
-                               "instruction budget");
-                    consume(*batch);
-                    remaining -= batch->instructions;
-                }
-            } else {
-                if (!req_batch_)
-                    req_batch_ = std::make_unique<RequestBatch>();
-                while (remaining > 0) {
-                    {
-                        PhaseScope prof(Phase::BatchGen);
-                        pollCellDeadlineBatch();
-                        workload.nextRequests(*req_batch_, dedup,
-                                              remaining);
-                    }
-                    consume(*req_batch_);
-                    remaining -= req_batch_->instructions;
-                }
-            }
-            cur_fetch_line_ = dedup.cur_line;
-        } else if (overlap_) {
-            // Step consumers under overlap: the handoff unit stays the
-            // Instruction record. The slice is a full batch, so on a
-            // single hardware thread this is the synchronous loop
-            // below, schedule and all.
-            BatchPipeline pipeline(workload, instructions);
+        if (overlap_) {
+            // Stage-decoupled generation: the pipeline produces batch
+            // N+1 (producer thread or software-pipelined slice) while
+            // this thread consumes batch N. Attribution stays honest:
+            // a synchronous pipeline is still generation (BatchGen);
+            // only a real producer thread turns this scope into
+            // overlap wait/handoff (GenOverlap).
+            RequestPipeline pipeline(workload, dedup, instructions);
             const Phase gen_phase = pipeline.synchronous()
                                         ? Phase::BatchGen
                                         : Phase::GenOverlap;
             while (remaining > 0) {
-                const InstructionBatch *batch;
+                const RequestBatch *batch;
                 {
                     PhaseScope prof(gen_phase);
                     pollCellDeadlineBatch();
                     batch = pipeline.acquire();
                 }
-                MNM_ASSERT(batch,
-                           "batch pipeline ran dry before the "
-                           "instruction budget");
-                if (with_prof) {
-                    for (const Instruction &inst : *batch)
-                        step<true>(inst, l1i, result);
-                } else {
-                    for (const Instruction &inst : *batch)
-                        step<false>(inst, l1i, result);
-                }
-                remaining -= batch->size;
+                MNM_ASSERT(batch, "request pipeline ran dry before the "
+                                  "instruction budget");
+                consume(*batch);
+                remaining -= batch->instructions;
             }
         } else {
-            if (!batch_)
-                batch_ = std::make_unique<InstructionBatch>();
+            if (!req_batch_)
+                req_batch_ = std::make_unique<RequestBatch>();
             while (remaining > 0) {
-                // The watchdog moves from per-instruction to per-batch:
-                // at most ~4096 instructions of extra latency before a
-                // cell deadline is noticed, well inside the second-
-                // scale timeouts MNM_CELL_TIMEOUT_S expresses.
                 {
                     PhaseScope prof(Phase::BatchGen);
                     pollCellDeadlineBatch();
-                    workload.nextBatch(*batch_, remaining);
+                    workload.nextRequests(*req_batch_, dedup, remaining);
                 }
-                if (with_prof) {
-                    for (const Instruction &inst : *batch_)
-                        step<true>(inst, l1i, result);
-                } else {
-                    for (const Instruction &inst : *batch_)
-                        step<false>(inst, l1i, result);
-                }
-                remaining -= batch_->size;
+                consume(*req_batch_);
+                remaining -= req_batch_->instructions;
             }
         }
+        cur_fetch_line_ = dedup.cur_line;
     }
 
     // Fold the per-cache event counts into the energy breakdown, one

@@ -29,7 +29,6 @@
 #include "obs/confusion.hh"
 #include "power/sram_model.hh"
 #include "trace/workload.hh"
-#include "util/aligned.hh"
 
 namespace mnm
 {
@@ -155,8 +154,9 @@ class MemorySimulator
     bool referenceFeed() const { return mnm_ && mnm_->referenceFeed(); }
 
     /**
-     * Overlap batch generation with consumption through a BatchPipeline
-     * (the MNM_OVERLAP knob; see trace/batch_pipeline.hh). Defaults to
+     * Overlap batch generation with consumption through a
+     * RequestPipeline (the MNM_OVERLAP knob; see
+     * trace/batch_pipeline.hh). Defaults to
      * the environment's verdict; tests flip it per instance. The
      * generated stream -- and therefore every counter and output byte
      * -- is identical either way; only the schedule changes.
@@ -190,10 +190,11 @@ class MemorySimulator
     __attribute__((always_inline)) void
     accountAccess(const AccessResult &access, MemSimResult &result);
 
-    /** One request through MNM + hierarchy with full accounting.
+    /** One request through MNM + hierarchy with full accounting: the
+     *  reference engine's step and the fast path's per-request loop.
      *  Templated on profiling like the batch path: run() selects the
-     *  instantiation once per window, so with MNM_PROF off even the
-     *  single-step stream carries zero profiler code per access. */
+     *  instantiation once per window, so with MNM_PROF off it carries
+     *  zero profiler code per access. */
     template <bool with_prof>
     void request(AccessType type, Addr addr, MemSimResult &result);
 
@@ -211,19 +212,19 @@ class MemorySimulator
     void performAccess(AccessType type, Addr addr,
                        const BypassMask &mask, MemSimResult &result);
 
-    /** Batch path: consume one pre-derived request batch -- verdict it
-     *  through the MNM's kernels (L1-peek + lane queue for guard-free
-     *  plans, chunked SoA kernels for guarded ones), walk, account.
-     *  The request stream arrives already derived (the generators'
-     *  nextRequests() fuses derivation into generation), so this is
-     *  pure consumption. Templated like performAccess: run() picks the
-     *  instantiation once, so the off path stays scope-free per
-     *  access. */
+    /** The fast path: consume one pre-derived request batch. Guard-free
+     *  plans take the L1 peek + lane queue; no-MNM runs and guarded
+     *  plans take request() one access at a time. The request stream
+     *  arrives already derived (the generators' nextRequests() fuses
+     *  derivation into generation), so this is pure consumption.
+     *  Templated like performAccess: run() picks the instantiation
+     *  once, so the off path stays scope-free per access. */
     template <bool with_prof>
     void runBatchRequests(const RequestBatch &batch, const Cache &l1i,
                           MemSimResult &result);
 
-    /** One instruction: fetch-line dedup plus the data request. */
+    /** One instruction of the reference engine: fetch-line dedup plus
+     *  the data request. */
     template <bool with_prof>
     void
     step(const Instruction &inst, const Cache &l1i, MemSimResult &result)
@@ -248,22 +249,17 @@ class MemorySimulator
     /** Per-cache probe/fill energies from the analytical model. */
     std::vector<PowerDelay> cache_power_;
     std::vector<CacheEventCounts> event_counts_;
-    /** Batch buffer, heap-allocated once (128KB is unkind to stacks
-     *  when runSweep's worker threads run many simulators). */
-    std::unique_ptr<InstructionBatch> batch_;
-    /** Request batch buffer for the overlap-off batch-verdict path
-     *  (the overlap pipeline owns its own slots), heap-allocated
-     *  lazily. */
+    /** Request batch buffer for the overlap-off path (the overlap
+     *  pipeline owns its own slots), heap-allocated lazily (72KB is
+     *  unkind to stacks when runSweep's worker threads run many
+     *  simulators). */
     std::unique_ptr<RequestBatch> req_batch_;
-    /** Per-batch verdict scratch for the guarded (stage 2b) path,
-     *  allocated lazily. */
-    AlignedArray<std::uint32_t> req_cand_;
     bool reference_kernel_ = false;
-    /** MNM_OVERLAP: generate batches through a BatchPipeline. */
+    /** MNM_OVERLAP: generate batches through a RequestPipeline. */
     bool overlap_;
     /** Lane-queue pending-set conflict bitmaps, one bit per L1 set
      *  ([0] = I-side, [1] = D-side; one shared vector when level 1 is
-     *  unified). Sized lazily by the stage-2a fast path; bits live
+     *  unified). Sized lazily by the L1-peek fast path; bits live
      *  only between a lane's enqueue and its flush. */
     std::vector<std::uint64_t> pending_sets_[2];
     PicoJoules mnm_energy_seen_ = 0.0; //!< consumed total at last drain

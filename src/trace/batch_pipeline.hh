@@ -1,12 +1,13 @@
 /**
  * @file
- * Double-buffered batch generation: the MNM_OVERLAP stage decoupling.
+ * Double-buffered request generation: the MNM_OVERLAP stage decoupling.
  *
- * The simulators consume a workload in batch units, and with the
- * batched kernels the profile reads generation nearly tied with the
- * hierarchy walk -- two stages serialized on one thread for no semantic
- * reason. A pipeline owns the generator's stream for one run and
- * produces batch N+1 while the simulator consumes batch N:
+ * The functional simulator consumes a workload as a derived request
+ * stream, and with the batched kernels the profile reads generation
+ * nearly tied with the hierarchy walk -- two stages serialized on one
+ * thread for no semantic reason. A RequestPipeline owns the
+ * generator's stream for one run and produces batch N+1 while the
+ * simulator consumes batch N:
  *
  *  - With a second hardware thread available, a producer thread fills
  *    the idle half of a two-slot buffer ring and hands full slots over
@@ -22,18 +23,15 @@
  * sequential fills would run, so the RNG draw sequence -- the stream
  * identity every byte-diff gate rests on -- is preserved bit for bit.
  * stream_identity_test proves it per workload; the MNM_OVERLAP=off|on
- * CI byte-diff proves it end to end.
- *
- * Two concrete pipelines share the engine: BatchPipeline hands over
- * Instruction records (the single-step simulators), RequestPipeline
- * hands over the derived request stream (the batch-verdict path),
- * fusing generation with stage-1 request derivation so the
+ * CI byte-diff proves it end to end. The producer fuses generation
+ * with stage-1 request derivation (nextRequests), so the
  * InstructionBatch intermediate never exists.
  */
 
 #ifndef MNM_TRACE_BATCH_PIPELINE_HH
 #define MNM_TRACE_BATCH_PIPELINE_HH
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -67,23 +65,55 @@ enum class PipelineMode
 };
 
 /**
- * The bounded-buffer engine behind both pipelines. Construction takes
- * exclusive ownership of the workload's stream until destruction:
- * exactly @p budget instructions are drawn (in fill() slices), and
- * nothing else may touch the generator in between.
- *
- * Lifecycle contract for derived classes: call start() at the end of
- * the derived constructor (fill() is virtual and the producer thread
- * calls it immediately) and shutdown() at the start of the derived
- * destructor (so the thread is joined while the derived object is
- * still alive).
+ * The derived-request pipeline. Construction takes exclusive ownership
+ * of the workload's stream until destruction: exactly @p budget
+ * instructions are drawn (in fill() slices), and nothing else may
+ * touch the generator in between. Borrows the simulator's fetch-dedup
+ * state for the same lifetime (the producer is its only toucher until
+ * destruction).
  */
-template <typename BatchT>
-class PipelineBase
+class RequestPipeline
 {
   public:
-    PipelineBase(const PipelineBase &) = delete;
-    PipelineBase &operator=(const PipelineBase &) = delete;
+    /** Single-thread mode: instructions per software-pipelined slice.
+     *  Small enough that a slice's request arrays sit in the host's L1
+     *  across the generate->consume handoff; large enough that
+     *  per-slice overheads stay amortized. */
+    static constexpr std::uint64_t slice_instructions = 512;
+
+    RequestPipeline(WorkloadGenerator &workload, FetchDedup &dedup,
+                    std::uint64_t budget,
+                    PipelineMode mode = PipelineMode::Auto)
+        : workload_(workload), dedup_(dedup), remaining_(budget)
+    {
+        slots_[0] = std::make_unique<RequestBatch>();
+        // hardware_concurrency() is 0 when unknown; treat unknown like
+        // a single thread -- the slice mode is correct everywhere and
+        // a producer thread only pays off with a core to run on.
+        const bool threaded =
+            mode == PipelineMode::Threaded ||
+            (mode == PipelineMode::Auto &&
+             std::thread::hardware_concurrency() >= 2);
+        if (threaded) {
+            slots_[1] = std::make_unique<RequestBatch>();
+            producer_ = std::thread(&RequestPipeline::producerLoop, this);
+        }
+    }
+
+    ~RequestPipeline()
+    {
+        if (producer_.joinable()) {
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                stop_ = true;
+            }
+            slot_freed_.notify_all();
+            producer_.join();
+        }
+    }
+
+    RequestPipeline(const RequestPipeline &) = delete;
+    RequestPipeline &operator=(const RequestPipeline &) = delete;
 
     /**
      * The next filled batch, blocking on the producer when it is
@@ -91,16 +121,16 @@ class PipelineBase
      * valid until the next acquire() call (which recycles its slot).
      * Rethrows any exception the producer thread hit.
      */
-    const BatchT *
+    const RequestBatch *
     acquire()
     {
         if (!producer_.joinable()) {
             // Slice mode: synchronous generation, one slice per call.
             if (remaining_ == 0)
                 return nullptr;
-            BatchT &batch = *slots_[0];
-            remaining_ -= fill(
-                batch, std::min<std::uint64_t>(remaining_, slice_));
+            RequestBatch &batch = *slots_[0];
+            remaining_ -= fill(batch, std::min(remaining_,
+                                               slice_instructions));
             return &batch;
         }
 
@@ -129,63 +159,23 @@ class PipelineBase
      *  not to overlap wait. */
     bool synchronous() const { return !producer_.joinable(); }
 
-  protected:
-    PipelineBase(std::uint64_t budget, PipelineMode mode,
-                 std::uint64_t slice)
-        : remaining_(budget), slice_(slice)
-    {
-        slots_[0] = std::make_unique<BatchT>();
-        // hardware_concurrency() is 0 when unknown; treat unknown like
-        // a single thread -- the slice mode is correct everywhere and
-        // a producer thread only pays off with a core to run on.
-        threaded_ = mode == PipelineMode::Threaded ||
-                    (mode == PipelineMode::Auto &&
-                     std::thread::hardware_concurrency() >= 2);
-        if (threaded_)
-            slots_[1] = std::make_unique<BatchT>();
-    }
-
-    virtual ~PipelineBase()
-    {
-        // shutdown() must already have run (derived dtor); this is the
-        // backstop for a derived class that forgot.
-        shutdown();
-    }
-
-    /** Spawn the producer (thread mode). Must be the last statement of
-     *  the derived constructor. */
-    void
-    start()
-    {
-        if (threaded_)
-            producer_ = std::thread(&PipelineBase::producerLoop, this);
-    }
-
-    /** Stop and join the producer. Must be the first statement of the
-     *  derived destructor; idempotent. */
-    void
-    shutdown()
-    {
-        if (producer_.joinable()) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                stop_ = true;
-            }
-            slot_freed_.notify_all();
-            producer_.join();
-        }
-    }
-
+  private:
     /**
      * Generate up to @p max_instructions of the stream into @p batch.
      * @return instructions consumed (> 0). Called by the producer
      * thread in thread mode, by acquire() in slice mode -- never
      * concurrently with itself.
      */
-    virtual std::uint64_t fill(BatchT &batch,
-                               std::uint64_t max_instructions) = 0;
+    std::uint64_t
+    fill(RequestBatch &batch, std::uint64_t max_instructions)
+    {
+        workload_.nextRequests(
+            batch, dedup_,
+            static_cast<std::size_t>(std::min<std::uint64_t>(
+                max_instructions, InstructionBatch::capacity)));
+        return batch.instructions;
+    }
 
-  private:
     void
     producerLoop()
     {
@@ -201,7 +191,7 @@ class PipelineBase
                 if (stop_ || remaining_ == 0)
                     break;
                 lock.unlock();
-                BatchT &batch = *slots_[slot];
+                RequestBatch &batch = *slots_[slot];
                 const std::uint64_t consumed = fill(batch, remaining_);
                 lock.lock();
                 remaining_ -= consumed;
@@ -224,12 +214,12 @@ class PipelineBase
         slot_filled_.notify_all();
     }
 
+    WorkloadGenerator &workload_;
+    FetchDedup &dedup_;
     std::uint64_t remaining_;
-    const std::uint64_t slice_;
-    bool threaded_ = false;
 
     /** Two slots in thread mode; slot 0 only in slice mode. */
-    std::unique_ptr<BatchT> slots_[2];
+    std::unique_ptr<RequestBatch> slots_[2];
 
     // Bounded-buffer state, all guarded by mutex_. filled_[i] means
     // slot i holds an unconsumed batch; the producer parks when both
@@ -248,75 +238,6 @@ class PipelineBase
     int held_slot_ = -1;
 
     std::thread producer_;
-};
-
-/** Instruction-record pipeline (the single-step/reference consumers).
- *  The slice is a full batch: the step loop reads each record once
- *  straight after generation, so smaller slices only add per-slice
- *  overhead. */
-class BatchPipeline final : public PipelineBase<InstructionBatch>
-{
-  public:
-    BatchPipeline(WorkloadGenerator &workload, std::uint64_t budget,
-                  PipelineMode mode = PipelineMode::Auto)
-        : PipelineBase(budget, mode, InstructionBatch::capacity),
-          workload_(workload)
-    {
-        start();
-    }
-    ~BatchPipeline() override { shutdown(); }
-
-  private:
-    std::uint64_t
-    fill(InstructionBatch &batch,
-         std::uint64_t max_instructions) override
-    {
-        workload_.nextBatch(
-            batch, static_cast<std::size_t>(std::min<std::uint64_t>(
-                       max_instructions, InstructionBatch::capacity)));
-        return batch.size;
-    }
-
-    WorkloadGenerator &workload_;
-};
-
-/** Derived-request pipeline (the batch-verdict path): generation and
- *  stage-1 request derivation fused in the producer, so the handoff
- *  unit is the request stream itself. Borrows the simulator's
- *  fetch-dedup state for the pipeline's lifetime (the producer is its
- *  only toucher until destruction). */
-class RequestPipeline final : public PipelineBase<RequestBatch>
-{
-  public:
-    /** Single-thread mode: instructions per software-pipelined slice.
-     *  Small enough that a slice's request arrays sit in the host's L1
-     *  across the generate->consume handoff; large enough that
-     *  per-slice overheads stay amortized. */
-    static constexpr std::uint64_t slice_instructions = 512;
-
-    RequestPipeline(WorkloadGenerator &workload, FetchDedup &dedup,
-                    std::uint64_t budget,
-                    PipelineMode mode = PipelineMode::Auto)
-        : PipelineBase(budget, mode, slice_instructions),
-          workload_(workload), dedup_(dedup)
-    {
-        start();
-    }
-    ~RequestPipeline() override { shutdown(); }
-
-  private:
-    std::uint64_t
-    fill(RequestBatch &batch, std::uint64_t max_instructions) override
-    {
-        workload_.nextRequests(
-            batch, dedup_,
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                max_instructions, InstructionBatch::capacity)));
-        return batch.instructions;
-    }
-
-    WorkloadGenerator &workload_;
-    FetchDedup &dedup_;
 };
 
 } // namespace mnm

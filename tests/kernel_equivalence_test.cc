@@ -1,17 +1,16 @@
 /**
  * @file
- * The batched/devirtualized hot kernel against the single-step virtual
- * reference path (sim/memory_sim.hh setReferenceKernel), on EVERY
- * verdict backend this machine runs: the legacy per-access plan walk
- * (off), the scalar SoA pass, and the native vector pass (AVX2/NEON)
- * when one exists. The refactor's contract is *bit-identical* results
- * -- every counter, the coverage and confusion breakdowns, and the
- * energy doubles -- across the preset grid: the five techniques plus
- * the perfect MNM and the bare hierarchy, under all three placements,
- * and with faults injected mid-run through every kernel. The update
- * side gets the same treatment: the batched event ring drained through
- * devirtualized update kernels against the per-event virtual listener
- * feed (setReferenceFeed), faulted runs included.
+ * The fast path -- batched request stream, SoA verdict program,
+ * devirtualized update kernels -- against the single-step virtual
+ * reference path (sim/memory_sim.hh setReferenceKernel). The contract
+ * is *bit-identical* results -- every counter, the coverage and
+ * confusion breakdowns, and the energy doubles -- across the preset
+ * grid: the five techniques plus the perfect MNM and the bare
+ * hierarchy, under all three placements, and with faults injected
+ * mid-run through every kernel. The update side gets the same
+ * treatment: the batched event ring drained through devirtualized
+ * update kernels against the per-event virtual listener feed
+ * (setReferenceFeed), faulted runs included.
  */
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include "sim/config.hh"
 #include "sim/memory_sim.hh"
 #include "trace/spec2000.hh"
-#include "util/cpu.hh"
 
 namespace mnm
 {
@@ -144,37 +142,19 @@ class KernelEquivalenceTest
 {
 };
 
-/** Every backend a verdict can be computed under on this machine. */
-std::vector<SimdBackend>
-verdictBackends()
-{
-    std::vector<SimdBackend> backends = {SimdBackend::Off,
-                                         SimdBackend::ScalarSoa};
-    if (nativeSimdBackend() != SimdBackend::ScalarSoa)
-        backends.push_back(nativeSimdBackend());
-    return backends;
-}
-
 TEST_P(KernelEquivalenceTest, BatchedMatchesReferenceOnPresetMachine)
 {
     const KernelCase &c = GetParam();
-    auto run_case = [&](bool reference, SimdBackend backend) {
+    auto run_case = [&](bool reference) {
         MemorySimulator sim(paperHierarchy(5), c.spec);
         sim.setReferenceKernel(reference);
-        if (!reference && c.spec)
-            sim.mnm()->setSimdBackend(backend);
         auto workload = makeSpecWorkload(workload_name);
         // Two runs: the second starts warm, covering the carried
         // state (filters, coverage, cumulative violation counters).
         sim.run(*workload, run_instructions / 2);
         return sim.run(*workload, run_instructions / 2);
     };
-    MemSimResult reference = run_case(true, SimdBackend::Off);
-    for (SimdBackend backend : verdictBackends()) {
-        SCOPED_TRACE(simdBackendName(backend));
-        MemSimResult batched = run_case(false, backend);
-        expectIdenticalResults(batched, reference);
-    }
+    expectIdenticalResults(run_case(false), run_case(true));
 }
 
 TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
@@ -184,22 +164,14 @@ TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
     // virtual listener feed (MNM_REFERENCE_FEED=1). Both sides run the
     // batched verdict kernel, so any divergence is the feed's fault.
     const KernelCase &c = GetParam();
-    auto run_case = [&](bool reference_feed, SimdBackend backend) {
+    auto run_case = [&](bool reference_feed) {
         MemorySimulator sim(paperHierarchy(5), c.spec);
-        if (reference_feed)
-            sim.setReferenceFeed(true);
-        if (c.spec)
-            sim.mnm()->setSimdBackend(backend);
+        sim.setReferenceFeed(reference_feed);
         auto workload = makeSpecWorkload(workload_name);
         sim.run(*workload, run_instructions / 2);
         return sim.run(*workload, run_instructions / 2);
     };
-    MemSimResult reference = run_case(true, SimdBackend::Off);
-    for (SimdBackend backend : verdictBackends()) {
-        SCOPED_TRACE(simdBackendName(backend));
-        MemSimResult batched = run_case(false, backend);
-        expectIdenticalResults(batched, reference);
-    }
+    expectIdenticalResults(run_case(false), run_case(true));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -218,18 +190,15 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchReferenceExactly)
     // Same contract with corrupted filter state: warm each kernel,
     // apply the identical deterministic flips (first/middle/last bit
     // of every surface), and the oracle-checked continuation must
-    // still agree bit for bit -- violations included -- on every
-    // backend.
+    // still agree bit for bit -- violations included.
     for (const char *name : {"RMNM_512_2", "SMNM_13x2", "TMNM_12x3",
                              "CMNM_8_10", "HMNM4"}) {
         SCOPED_TRACE(name);
         MnmSpec spec = mnmSpecByName(name);
         spec.oracle_check = true;
-        auto run_case = [&](bool reference, SimdBackend backend) {
+        auto run_case = [&](bool reference) {
             MemorySimulator sim(paperHierarchy(5), spec);
             sim.setReferenceKernel(reference);
-            if (!reference)
-                sim.mnm()->setSimdBackend(backend);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
@@ -243,12 +212,7 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchReferenceExactly)
             }
             return sim.run(*workload, run_instructions / 2);
         };
-        MemSimResult reference = run_case(true, SimdBackend::Off);
-        for (SimdBackend backend : verdictBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            MemSimResult batched = run_case(false, backend);
-            expectIdenticalResults(batched, reference);
-        }
+        expectIdenticalResults(run_case(false), run_case(true));
     }
 }
 
@@ -263,11 +227,9 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchVirtualFeedExactly)
         SCOPED_TRACE(name);
         MnmSpec spec = mnmSpecByName(name);
         spec.oracle_check = true;
-        auto run_case = [&](bool reference_feed, SimdBackend backend) {
+        auto run_case = [&](bool reference_feed) {
             MemorySimulator sim(paperHierarchy(5), spec);
-            if (reference_feed)
-                sim.setReferenceFeed(true);
-            sim.mnm()->setSimdBackend(backend);
+            sim.setReferenceFeed(reference_feed);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
@@ -281,12 +243,7 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchVirtualFeedExactly)
             }
             return sim.run(*workload, run_instructions / 2);
         };
-        MemSimResult reference = run_case(true, SimdBackend::Off);
-        for (SimdBackend backend : verdictBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            MemSimResult batched = run_case(false, backend);
-            expectIdenticalResults(batched, reference);
-        }
+        expectIdenticalResults(run_case(false), run_case(true));
     }
 }
 
@@ -295,39 +252,45 @@ TEST(KernelEquivalenceTest, OverlapPipelineMatchesSynchronousExactly)
     // The MNM_OVERLAP axis: stage-decoupled generation (producer
     // thread on multi-core hosts, software-pipelined slices on
     // single-core ones -- whatever PipelineMode::Auto picks here)
-    // against the plain synchronous generate-then-consume loop. Both
-    // feed paths and every verdict backend: the schedule is the only
-    // thing allowed to change, so every counter must match bit for
-    // bit. Off-backend cells route through the instruction pipeline
-    // (step consumers), on-backend cells through the fused request
-    // pipeline -- both handoffs are under test.
-    for (const char *name :
-         {"RMNM_512_2", "SMNM_13x2", "TMNM_12x3", "CMNM_8_10",
-          "HMNM4"}) {
-        SCOPED_TRACE(name);
-        const MnmSpec spec = mnmSpecByName(name);
+    // against the plain synchronous generate-then-consume loop, under
+    // both feed paths. The schedule is the only thing allowed to
+    // change, so every counter must match bit for bit -- and match the
+    // single-step reference engine too. The cells cover all three
+    // consumers of the request pipeline: the L1-peek lane queue
+    // (guard-free presets and Perfect), and the per-request loop (the
+    // bare hierarchy and an oracle-checked plan).
+    std::vector<KernelCase> cases = {
+        {"no-MNM", std::nullopt}, {"Perfect", mnmSpecByName("Perfect")}};
+    for (const char *name : {"RMNM_512_2", "SMNM_13x2", "TMNM_12x3",
+                             "CMNM_8_10", "HMNM4"}) {
+        cases.push_back({name, mnmSpecByName(name)});
+    }
+    MnmSpec checked = mnmSpecByName("HMNM4");
+    checked.oracle_check = true;
+    cases.push_back({"HMNM4/oracle-checked", checked});
+
+    for (const KernelCase &c : cases) {
+        SCOPED_TRACE(c.label);
         auto run_case = [&](bool overlap, bool reference_feed,
-                            SimdBackend backend) {
-            MemorySimulator sim(paperHierarchy(5), spec);
+                            bool reference_kernel) {
+            MemorySimulator sim(paperHierarchy(5), c.spec);
             sim.setOverlap(overlap);
-            if (reference_feed)
-                sim.setReferenceFeed(true);
-            sim.mnm()->setSimdBackend(backend);
+            sim.setReferenceFeed(reference_feed);
+            sim.setReferenceKernel(reference_kernel);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             return sim.run(*workload, run_instructions / 2);
         };
+        const MemSimResult reference = run_case(false, false, true);
         for (bool reference_feed : {false, true}) {
             SCOPED_TRACE(reference_feed ? "reference-feed"
                                         : "batched-feed");
-            for (SimdBackend backend : verdictBackends()) {
-                SCOPED_TRACE(simdBackendName(backend));
-                MemSimResult synchronous =
-                    run_case(false, reference_feed, backend);
-                MemSimResult overlapped =
-                    run_case(true, reference_feed, backend);
-                expectIdenticalResults(overlapped, synchronous);
-            }
+            MemSimResult synchronous =
+                run_case(false, reference_feed, false);
+            MemSimResult overlapped =
+                run_case(true, reference_feed, false);
+            expectIdenticalResults(overlapped, synchronous);
+            expectIdenticalResults(overlapped, reference);
         }
     }
 }
@@ -343,10 +306,9 @@ TEST(KernelEquivalenceTest, FaultedOverlapMatchesSynchronousExactly)
         SCOPED_TRACE(name);
         MnmSpec spec = mnmSpecByName(name);
         spec.oracle_check = true;
-        auto run_case = [&](bool overlap, SimdBackend backend) {
+        auto run_case = [&](bool overlap) {
             MemorySimulator sim(paperHierarchy(5), spec);
             sim.setOverlap(overlap);
-            sim.mnm()->setSimdBackend(backend);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
@@ -360,12 +322,7 @@ TEST(KernelEquivalenceTest, FaultedOverlapMatchesSynchronousExactly)
             }
             return sim.run(*workload, run_instructions / 2);
         };
-        for (SimdBackend backend : verdictBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            MemSimResult synchronous = run_case(false, backend);
-            MemSimResult overlapped = run_case(true, backend);
-            expectIdenticalResults(overlapped, synchronous);
-        }
+        expectIdenticalResults(run_case(true), run_case(false));
     }
 }
 

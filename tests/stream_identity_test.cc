@@ -1,12 +1,13 @@
 /**
  * @file
  * The RNG-draw-order contract behind the MNM_OVERLAP stage decoupling,
- * proven per workload: every producer schedule -- single-step next(),
- * synchronous full batches, the double-buffered producer thread, the
- * software-pipelined slices, and the fused request producer -- must
- * emit bit-for-bit the same stream. All twenty named workloads run
- * through every axis; a divergence reports the first divergent index
- * so a generator regression points at the exact draw that broke.
+ * proven per workload: every producer schedule -- single-step next()
+ * (the reference engine's), synchronous full batches, the fused
+ * request producer, the double-buffered producer thread, and the
+ * software-pipelined slices -- must emit bit-for-bit the same stream.
+ * All twenty named workloads run through every axis; a divergence
+ * reports the first divergent index so a generator regression points
+ * at the exact draw that broke.
  */
 
 #include <cstdint>
@@ -43,43 +44,6 @@ collectSingleStep(WorkloadGenerator &workload, std::uint64_t n)
     return out;
 }
 
-std::vector<Instruction>
-collectPipeline(WorkloadGenerator &workload, std::uint64_t n,
-                PipelineMode mode)
-{
-    std::vector<Instruction> out;
-    out.reserve(n);
-    BatchPipeline pipeline(workload, n, mode);
-    while (const InstructionBatch *batch = pipeline.acquire())
-        out.insert(out.end(), batch->records,
-                   batch->records + batch->size);
-    return out;
-}
-
-/** Field-exact comparison, reporting the first divergent instruction
- *  index (the generator draws in instruction order, so the first
- *  divergent instruction pins the first divergent draw). */
-void
-expectSameInstructions(const std::vector<Instruction> &got,
-                       const std::vector<Instruction> &want,
-                       const std::string &axis)
-{
-    ASSERT_EQ(got.size(), want.size()) << axis;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        const Instruction &g = got[i];
-        const Instruction &w = want[i];
-        const bool same = g.pc == w.pc && g.cls == w.cls &&
-                          g.mem_addr == w.mem_addr && g.dep1 == w.dep1 &&
-                          g.dep2 == w.dep2 &&
-                          g.exec_latency == w.exec_latency &&
-                          g.mispredicted == w.mispredicted;
-        ASSERT_TRUE(same)
-            << axis << ": first divergent instruction index " << i
-            << " (pc " << std::hex << g.pc << " vs " << w.pc
-            << std::dec << ")";
-    }
-}
-
 struct RequestStream
 {
     std::vector<Addr> addr;
@@ -98,6 +62,22 @@ struct RequestStream
         data_requests += batch.data_requests;
     }
 };
+
+/** The request stream the reference engine derives, one instruction
+ *  at a time, from single-step next() records. */
+RequestStream
+deriveSingleStep(const std::vector<Instruction> &instructions)
+{
+    RequestStream out;
+    FetchDedup dedup{fetch_block_bits, invalid_addr};
+    RequestBatch batch;
+    for (const Instruction &inst : instructions) {
+        batch.clear();
+        deriveInstruction(batch, dedup, inst.pc, inst.cls, inst.mem_addr);
+        out.append(batch);
+    }
+    return out;
+}
 
 void
 expectSameRequests(const RequestStream &got, const RequestStream &want,
@@ -121,22 +101,30 @@ class StreamIdentityTest
 
 TEST_P(StreamIdentityTest, PipelineSchedulesMatchSingleStep)
 {
-    // next() one instruction at a time is the reference schedule. The
-    // batch pipeline must replay it exactly under both non-Auto modes:
-    // Threaded forces the producer-thread handoff even on a single
-    // hardware thread, Sliced forces the software-pipelined slices
-    // even on many.
+    // next() one instruction at a time is the reference engine's
+    // schedule. The request pipeline must replay the stream it derives
+    // exactly under both non-Auto modes: Threaded forces the
+    // producer-thread handoff even on a single hardware thread, Sliced
+    // forces the software-pipelined slices even on many.
     auto reference = makeSpecWorkload(GetParam());
-    const std::vector<Instruction> want =
-        collectSingleStep(*reference, stream_instructions);
+    const RequestStream want = deriveSingleStep(
+        collectSingleStep(*reference, stream_instructions));
 
     for (PipelineMode mode :
          {PipelineMode::Threaded, PipelineMode::Sliced}) {
         auto workload = makeSpecWorkload(GetParam());
-        expectSameInstructions(
-            collectPipeline(*workload, stream_instructions, mode), want,
-            mode == PipelineMode::Threaded ? "threaded pipeline"
-                                           : "sliced pipeline");
+        FetchDedup dedup{fetch_block_bits, invalid_addr};
+        RequestStream got;
+        {
+            RequestPipeline pipeline(*workload, dedup,
+                                     stream_instructions, mode);
+            while (const RequestBatch *batch = pipeline.acquire())
+                got.append(*batch);
+        }
+        expectSameRequests(got, want,
+                           mode == PipelineMode::Threaded
+                               ? "threaded pipeline"
+                               : "sliced pipeline");
     }
 }
 
