@@ -355,15 +355,8 @@ MnmUnit::onPlacement(CacheId id, BlockAddr block)
     PerCache &pc = per_cache_[id];
     if (spec_.perfect)
         return;
-    if (reference_dispatch_) {
-        for (auto &filter : pc.filters)
-            filter->onPlacement(block);
-    } else {
-        const FilterKernel *k = kernels_.data() + pc.kernel_first;
-        const FilterKernel *end = k + pc.kernel_count;
-        for (; k != end; ++k)
-            kernelOnPlacement(*k, block);
-    }
+    for (auto &filter : pc.filters)
+        filter->onPlacement(block);
     ++pc.update_events;
     if (rmnm_ && pc.rmnm_index >= 0) {
         rmnm_->onPlacement(static_cast<std::uint32_t>(pc.rmnm_index),
@@ -383,15 +376,8 @@ MnmUnit::onReplacement(CacheId id, BlockAddr block)
     PerCache &pc = per_cache_[id];
     if (spec_.perfect)
         return;
-    if (reference_dispatch_) {
-        for (auto &filter : pc.filters)
-            filter->onReplacement(block);
-    } else {
-        const FilterKernel *k = kernels_.data() + pc.kernel_first;
-        const FilterKernel *end = k + pc.kernel_count;
-        for (; k != end; ++k)
-            kernelOnReplacement(*k, block);
-    }
+    for (auto &filter : pc.filters)
+        filter->onReplacement(block);
     ++pc.update_events;
     if (rmnm_ && pc.rmnm_index >= 0) {
         rmnm_->onReplacement(static_cast<std::uint32_t>(pc.rmnm_index),

@@ -5,13 +5,14 @@
  * At construction the MnmUnit flattens every cache's
  * std::vector<std::unique_ptr<MissFilter>> fan-out into one contiguous
  * array of FilterKernel records: a type tag plus a pointer to the
- * concrete filter object. The placement/replacement event feed
+ * concrete filter object. The event-ring drain (core/update_plan.hh)
  * dispatches through a switch on the tag and calls the filters'
  * non-virtual *Hot methods, which inline into the simulators' inner
  * loops; verdicts run through the SoA program lowered from the same
  * records (core/soa_state.hh). The virtual MissFilter interface on the
- * very same objects remains the cold-path surface (naming, power,
- * storage bits, anomaly counts, fault injection, tests).
+ * very same objects remains the reference and cold-path surface (the
+ * per-event feed, naming, power, storage bits, anomaly counts, fault
+ * injection, tests).
  *
  * Both dispatch styles run the same member-function bodies, so the
  * plan is behaviourally identical to the virtual walk -- a property

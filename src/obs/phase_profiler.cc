@@ -180,8 +180,6 @@ phaseName(Phase phase)
         return "cold_account";
       case Phase::FeedDrain:
         return "feed_drain";
-      case Phase::GenOverlap:
-        return "gen_overlap";
       case Phase::LaneDescent:
         return "lane_descent";
     }

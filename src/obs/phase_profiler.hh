@@ -52,8 +52,9 @@ namespace mnm
 
 class StatsRegistry;
 
-/** The instrumented stages. Values are stable manifest/export names --
- *  append only. */
+/** The instrumented stages. The manifest/export names are stable; the
+ *  values are positions in the process pool's prof wire format, so
+ *  any change here bumps sim/proc_pool.cc's prof_wire_version. */
 enum class Phase : std::uint8_t
 {
     Run,        //!< MemorySimulator::run root (self = loop overhead)
@@ -64,11 +65,10 @@ enum class Phase : std::uint8_t
     UpdateFeed, //!< MnmUnit on{Placement,Replacement,Flush} walks
     Cold,       //!< post-run cold accounting (energy fold, drains)
     FeedDrain,  //!< batched event-ring drain through update kernels
-    GenOverlap, //!< MNM_OVERLAP: wait/handoff for producer-built batches
     LaneDescent, //!< fast-path queued-lane L2+ descent (walk + accounting)
 };
 
-inline constexpr int num_phases = 10;
+inline constexpr int num_phases = 9;
 
 /** Stable manifest segment for @p phase ("verdict", "update_feed", ...). */
 const char *phaseName(Phase phase);

@@ -147,7 +147,7 @@ runFunctional(const HierarchyParams &hierarchy,
     // batched verdict-plan path.
     static const bool reference_kernel = [] {
         const char *env = std::getenv("MNM_REFERENCE_KERNEL");
-        return env && *env && *env != '0';
+        return env && parseEnvBool("MNM_REFERENCE_KERNEL", env);
     }();
     if (reference_kernel)
         sim.setReferenceKernel(true);
@@ -156,7 +156,7 @@ runFunctional(const HierarchyParams &hierarchy,
     // so stdout can be byte-diffed against the update-kernel path.
     static const bool reference_feed = [] {
         const char *env = std::getenv("MNM_REFERENCE_FEED");
-        return env && *env && *env != '0';
+        return env && parseEnvBool("MNM_REFERENCE_FEED", env);
     }();
     if (reference_feed)
         sim.setReferenceFeed(true);

@@ -3,7 +3,6 @@
 #include <type_traits>
 
 #include "obs/phase_profiler.hh"
-#include "trace/batch_pipeline.hh"
 #include "util/bits.hh"
 #include "util/deadline.hh"
 #include "util/logging.hh"
@@ -32,7 +31,7 @@ using ProfScope =
 MemorySimulator::MemorySimulator(const HierarchyParams &hierarchy_params,
                                  std::optional<MnmSpec> mnm_spec,
                                  std::uint64_t seed)
-    : hierarchy_(hierarchy_params, seed), overlap_(overlapFromEnv())
+    : hierarchy_(hierarchy_params, seed)
 {
     if (mnm_spec)
         mnm_ = std::make_unique<MnmUnit>(*mnm_spec, hierarchy_);
@@ -144,10 +143,9 @@ MemorySimulator::runBatchRequests(const RequestBatch &batch,
                                   const Cache &l1i, MemSimResult &result)
 {
     // The request stream arrives already derived (generation and
-    // stage-1 derivation are fused in nextRequests(), possibly on the
-    // overlap producer thread); only the per-window counts fold in
-    // here. Same stream, same counts as deriving on the spot -- the
-    // dedup state threads through the producer unchanged.
+    // stage-1 derivation are fused in nextRequests()); only the
+    // per-window counts fold in here. Same stream, same counts as
+    // deriving on the spot.
     const std::size_t n = batch.size;
     const Addr *const req_addr = batch.addr;
     const std::uint8_t *const req_type = batch.kind;
@@ -365,58 +363,29 @@ MemorySimulator::run(WorkloadGenerator &workload,
                 step<false>(inst, l1i, result);
         }
     } else {
-        // The fast path: the consumption unit is the derived request
-        // stream itself (nextRequests() fuses generation with stage-1
-        // derivation). The fetch-line dedup threads the simulator's
-        // persistent state through whichever producer runs -- with a
-        // producer thread, the pipeline's slot handoff orders every
-        // dedup write before this thread's reads. The watchdog polls
-        // per batch: at most ~4096 instructions of extra latency
-        // before a cell deadline is noticed, well inside the
-        // second-scale timeouts MNM_CELL_TIMEOUT_S expresses.
+        // The fast path: generate one request batch, consume it,
+        // repeat. The consumption unit is the derived request stream
+        // itself (nextRequests() fuses generation with stage-1
+        // derivation), and the fetch-line dedup carries the
+        // simulator's persistent line from window to window. The
+        // watchdog polls per batch: at most ~4096 instructions of
+        // extra latency before a cell deadline is noticed, well inside
+        // the second-scale timeouts MNM_CELL_TIMEOUT_S expresses.
         FetchDedup dedup{l1i.blockBits(), cur_fetch_line_};
-        auto consume = [&](const RequestBatch &batch) {
-            if (with_prof)
-                runBatchRequests<true>(batch, l1i, result);
-            else
-                runBatchRequests<false>(batch, l1i, result);
-        };
+        if (!req_batch_)
+            req_batch_ = std::make_unique<RequestBatch>();
         std::uint64_t remaining = instructions;
-        if (overlap_) {
-            // Stage-decoupled generation: the pipeline produces batch
-            // N+1 (producer thread or software-pipelined slice) while
-            // this thread consumes batch N. Attribution stays honest:
-            // a synchronous pipeline is still generation (BatchGen);
-            // only a real producer thread turns this scope into
-            // overlap wait/handoff (GenOverlap).
-            RequestPipeline pipeline(workload, dedup, instructions);
-            const Phase gen_phase = pipeline.synchronous()
-                                        ? Phase::BatchGen
-                                        : Phase::GenOverlap;
-            while (remaining > 0) {
-                const RequestBatch *batch;
-                {
-                    PhaseScope prof(gen_phase);
-                    pollCellDeadlineBatch();
-                    batch = pipeline.acquire();
-                }
-                MNM_ASSERT(batch, "request pipeline ran dry before the "
-                                  "instruction budget");
-                consume(*batch);
-                remaining -= batch->instructions;
+        while (remaining > 0) {
+            {
+                PhaseScope prof(Phase::BatchGen);
+                pollCellDeadlineBatch();
+                workload.nextRequests(*req_batch_, dedup, remaining);
             }
-        } else {
-            if (!req_batch_)
-                req_batch_ = std::make_unique<RequestBatch>();
-            while (remaining > 0) {
-                {
-                    PhaseScope prof(Phase::BatchGen);
-                    pollCellDeadlineBatch();
-                    workload.nextRequests(*req_batch_, dedup, remaining);
-                }
-                consume(*req_batch_);
-                remaining -= req_batch_->instructions;
-            }
+            if (with_prof)
+                runBatchRequests<true>(*req_batch_, l1i, result);
+            else
+                runBatchRequests<false>(*req_batch_, l1i, result);
+            remaining -= req_batch_->instructions;
         }
         cur_fetch_line_ = dedup.cur_line;
     }

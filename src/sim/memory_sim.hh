@@ -153,17 +153,6 @@ class MemorySimulator
     void setReferenceFeed(bool on);
     bool referenceFeed() const { return mnm_ && mnm_->referenceFeed(); }
 
-    /**
-     * Overlap batch generation with consumption through a
-     * RequestPipeline (the MNM_OVERLAP knob; see
-     * trace/batch_pipeline.hh). Defaults to
-     * the environment's verdict; tests flip it per instance. The
-     * generated stream -- and therefore every counter and output byte
-     * -- is identical either way; only the schedule changes.
-     */
-    void setOverlap(bool on) { overlap_ = on; }
-    bool overlap() const { return overlap_; }
-
     CacheHierarchy &hierarchy() { return hierarchy_; }
     MnmUnit *mnm() { return mnm_ ? mnm_.get() : nullptr; }
 
@@ -249,14 +238,11 @@ class MemorySimulator
     /** Per-cache probe/fill energies from the analytical model. */
     std::vector<PowerDelay> cache_power_;
     std::vector<CacheEventCounts> event_counts_;
-    /** Request batch buffer for the overlap-off path (the overlap
-     *  pipeline owns its own slots), heap-allocated lazily (72KB is
-     *  unkind to stacks when runSweep's worker threads run many
-     *  simulators). */
+    /** The fast path's request batch, refilled by nextRequests() and
+     *  consumed in place; heap-allocated lazily (72KB is unkind to
+     *  stacks when runSweep's worker threads run many simulators). */
     std::unique_ptr<RequestBatch> req_batch_;
     bool reference_kernel_ = false;
-    /** MNM_OVERLAP: generate batches through a RequestPipeline. */
-    bool overlap_;
     /** Lane-queue pending-set conflict bitmaps, one bit per L1 set
      *  ([0] = I-side, [1] = D-side; one shared vector when level 1 is
      *  unified). Sized lazily by the L1-peek fast path; bits live

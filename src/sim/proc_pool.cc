@@ -70,16 +70,16 @@ constexpr std::uint32_t max_frame_bytes = 64u * 1024 * 1024;
 // and per-worker attribution work identically to the thread pool.
 // Format: {"v":<version>,"phases":[...]} where "phases" is a JSON array
 // of num_phases arrays of the 8 PhaseCounters fields in declaration
-// order. The arrays are positional (phase values and counter fields are
-// both append-only by contract), which is exactly why the block carries
-// an explicit version: growing the Phase enum changes the array shape,
-// and a supervisor paired with a worker binary from the other side of
-// that growth must drop the block with a warning instead of folding
-// counters into the wrong phases. The version bumps whenever the
-// positional layout changes (v2 = the ten-phase layout; v1 was a bare
+// order. The arrays are positional, which is exactly why the block
+// carries an explicit version: adding or removing a Phase changes the
+// array shape, and a supervisor paired with a worker binary from the
+// other side of that change must drop the block with a warning instead
+// of folding counters into the wrong phases. The version bumps
+// whenever the positional layout changes (v3 = the nine-phase layout
+// without gen_overlap; v2 was the ten-phase layout; v1 was a bare
 // eight-phase array with no tag).
 
-constexpr std::uint64_t prof_wire_version = 2;
+constexpr std::uint64_t prof_wire_version = 3;
 
 std::string
 writePhaseTotals(const PhaseTotals &totals)

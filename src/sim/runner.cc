@@ -12,6 +12,7 @@
 #include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "sim/experiment.hh"
 #include "sim/proc_pool.hh"
 #include "sim/recovery.hh"
 #include "util/deadline.hh"
@@ -54,13 +55,7 @@ jobsFromEnv()
     const char *env = std::getenv("MNM_JOBS");
     if (!env)
         return hardwareJobs();
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0)
-        fatal("MNM_JOBS='%s' is not a positive integer", env);
-    if (v > 4096)
-        fatal("MNM_JOBS=%lu is out of range [1, 4096]", v);
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(parseEnvU64("MNM_JOBS", env, 1, 4096));
 }
 
 SweepFailure::SweepFailure(std::vector<Failure> failures)

@@ -9,9 +9,7 @@
  * that. A RequestBatch is that stream as a first-class unit, so
  * generators can produce it directly -- fusing generation and
  * derivation kills a full InstructionBatch write+read round trip per
- * batch (128KB that served only as an intermediate), and the overlap
- * pipeline can hand whole request batches across the producer thread
- * boundary.
+ * batch (128KB that served only as an intermediate).
  *
  * Derivation is a pure function of the instruction sequence and the
  * L1I block size, so a fused producer emits exactly the requests the

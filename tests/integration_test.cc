@@ -180,5 +180,22 @@ TEST(IntegrationTest, ShortNames)
     EXPECT_EQ(ExperimentOptions::shortName("plain"), "plain");
 }
 
+TEST(IntegrationDeathTest, RejectsMalformedReferenceKnobs)
+{
+    // runFunctional latches both knobs on first use; the threadsafe
+    // style re-executes the binary, so each child parses afresh.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *knob : {"MNM_REFERENCE_KERNEL", "MNM_REFERENCE_FEED"}) {
+        for (const char *value : {"off", "yes", "", "10"}) {
+            SCOPED_TRACE(std::string(knob) + "=" + value);
+            ASSERT_EQ(setenv(knob, value, 1), 0);
+            EXPECT_EXIT(runFunctional(paperHierarchy(5), std::nullopt,
+                                      "164.gzip", 1000),
+                        ::testing::ExitedWithCode(1), knob);
+            ASSERT_EQ(unsetenv(knob), 0);
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace mnm

@@ -247,16 +247,12 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchVirtualFeedExactly)
     }
 }
 
-TEST(KernelEquivalenceTest, OverlapPipelineMatchesSynchronousExactly)
+TEST(KernelEquivalenceTest, FastPathMatchesReferenceUnderBothFeeds)
 {
-    // The MNM_OVERLAP axis: stage-decoupled generation (producer
-    // thread on multi-core hosts, software-pipelined slices on
-    // single-core ones -- whatever PipelineMode::Auto picks here)
-    // against the plain synchronous generate-then-consume loop, under
-    // both feed paths. The schedule is the only thing allowed to
-    // change, so every counter must match bit for bit -- and match the
-    // single-step reference engine too. The cells cover all three
-    // consumers of the request pipeline: the L1-peek lane queue
+    // The fast path under both update feeds against the single-step
+    // reference engine, across two run() windows so the carried fetch
+    // line and warm state are covered too. The cells cover both
+    // consumers of the request batches: the L1-peek lane queue
     // (guard-free presets and Perfect), and the per-request loop (the
     // bare hierarchy and an oracle-checked plan).
     std::vector<KernelCase> cases = {
@@ -271,58 +267,21 @@ TEST(KernelEquivalenceTest, OverlapPipelineMatchesSynchronousExactly)
 
     for (const KernelCase &c : cases) {
         SCOPED_TRACE(c.label);
-        auto run_case = [&](bool overlap, bool reference_feed,
-                            bool reference_kernel) {
+        auto run_case = [&](bool reference_feed, bool reference_kernel) {
             MemorySimulator sim(paperHierarchy(5), c.spec);
-            sim.setOverlap(overlap);
             sim.setReferenceFeed(reference_feed);
             sim.setReferenceKernel(reference_kernel);
             auto workload = makeSpecWorkload(workload_name);
             sim.run(*workload, run_instructions / 2);
             return sim.run(*workload, run_instructions / 2);
         };
-        const MemSimResult reference = run_case(false, false, true);
+        const MemSimResult reference = run_case(false, true);
         for (bool reference_feed : {false, true}) {
             SCOPED_TRACE(reference_feed ? "reference-feed"
                                         : "batched-feed");
-            MemSimResult synchronous =
-                run_case(false, reference_feed, false);
-            MemSimResult overlapped =
-                run_case(true, reference_feed, false);
-            expectIdenticalResults(overlapped, synchronous);
-            expectIdenticalResults(overlapped, reference);
+            expectIdenticalResults(run_case(reference_feed, false),
+                                   reference);
         }
-    }
-}
-
-TEST(KernelEquivalenceTest, FaultedOverlapMatchesSynchronousExactly)
-{
-    // Overlap under corrupted filter state: the deterministic flips
-    // land between two windows (while no pipeline is alive -- a
-    // pipeline's stream ownership ends with its run), and the
-    // oracle-checked continuation must agree bit for bit with the
-    // synchronous schedule, violations included.
-    for (const char *name : {"RMNM_512_2", "HMNM4"}) {
-        SCOPED_TRACE(name);
-        MnmSpec spec = mnmSpecByName(name);
-        spec.oracle_check = true;
-        auto run_case = [&](bool overlap) {
-            MemorySimulator sim(paperHierarchy(5), spec);
-            sim.setOverlap(overlap);
-            auto workload = makeSpecWorkload(workload_name);
-            sim.run(*workload, run_instructions / 2);
-            auto surfaces = FaultInjector::faultSurfaces(*sim.mnm());
-            EXPECT_FALSE(surfaces.empty());
-            for (std::size_t s = 0; s < surfaces.size(); ++s) {
-                for (std::uint64_t bit :
-                     {std::uint64_t{0}, surfaces[s].bits / 2,
-                      surfaces[s].bits - 1}) {
-                    FaultInjector::flip(*sim.mnm(), s, bit);
-                }
-            }
-            return sim.run(*workload, run_instructions / 2);
-        };
-        expectIdenticalResults(run_case(true), run_case(false));
     }
 }
 

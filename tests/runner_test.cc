@@ -206,9 +206,12 @@ TEST(RunnerTest, ExperimentOptionsPickUpJobs)
 
 TEST(RunnerDeathTest, RejectsMalformedJobs)
 {
-    ASSERT_EQ(setenv("MNM_JOBS", "zero", 1), 0);
-    EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
-                "MNM_JOBS");
+    for (const char *value : {"zero", "-1", " 2", "2 ", "0", ""}) {
+        SCOPED_TRACE(value);
+        ASSERT_EQ(setenv("MNM_JOBS", value, 1), 0);
+        EXPECT_EXIT(jobsFromEnv(), ::testing::ExitedWithCode(1),
+                    "MNM_JOBS");
+    }
     ASSERT_EQ(unsetenv("MNM_JOBS"), 0);
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * The RNG-draw-order contract behind the MNM_OVERLAP stage decoupling,
+ * The RNG-draw-order contract behind the fast path's generation loop,
  * proven per workload: every producer schedule -- single-step next()
  * (the reference engine's), synchronous full batches, the fused
- * request producer, the double-buffered producer thread, and the
- * software-pipelined slices -- must emit bit-for-bit the same stream.
- * All twenty named workloads run through every axis; a divergence
- * reports the first divergent index so a generator regression points
- * at the exact draw that broke.
+ * request producer MemorySimulator::run drives, and ragged run()
+ * windows -- must emit bit-for-bit the same stream. All twenty named
+ * workloads run through every axis; a divergence reports the first
+ * divergent index so a generator regression points at the exact draw
+ * that broke.
  */
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/batch_pipeline.hh"
 #include "trace/request_batch.hh"
 #include "trace/spec2000.hh"
 #include "trace/synthetic.hh"
@@ -51,6 +50,8 @@ struct RequestStream
     std::uint64_t instructions = 0;
     std::uint64_t fetch_requests = 0;
     std::uint64_t data_requests = 0;
+    /** The fetch-dedup line the producer left behind. */
+    Addr cur_line = invalid_addr;
 
     void
     append(const RequestBatch &batch)
@@ -76,6 +77,31 @@ deriveSingleStep(const std::vector<Instruction> &instructions)
         deriveInstruction(batch, dedup, inst.pc, inst.cls, inst.mem_addr);
         out.append(batch);
     }
+    out.cur_line = dedup.cur_line;
+    return out;
+}
+
+/** The fast path's generation loop, as MemorySimulator::run drives it:
+ *  one run() window per entry of @p windows, each refilling one
+ *  request batch with nextRequests() until its budget is spent, and
+ *  each starting from a fresh FetchDedup seeded with the line the
+ *  previous window left. */
+RequestStream
+collectRunWindows(WorkloadGenerator &workload,
+                  const std::vector<std::uint64_t> &windows)
+{
+    RequestStream out;
+    RequestBatch batch;
+    for (std::uint64_t window : windows) {
+        FetchDedup dedup{fetch_block_bits, out.cur_line};
+        std::uint64_t remaining = window;
+        while (remaining > 0) {
+            workload.nextRequests(batch, dedup, remaining);
+            out.append(batch);
+            remaining -= batch.instructions;
+        }
+        out.cur_line = dedup.cur_line;
+    }
     return out;
 }
 
@@ -86,6 +112,7 @@ expectSameRequests(const RequestStream &got, const RequestStream &want,
     EXPECT_EQ(got.instructions, want.instructions) << axis;
     EXPECT_EQ(got.fetch_requests, want.fetch_requests) << axis;
     EXPECT_EQ(got.data_requests, want.data_requests) << axis;
+    EXPECT_EQ(got.cur_line, want.cur_line) << axis;
     ASSERT_EQ(got.addr.size(), want.addr.size()) << axis;
     for (std::size_t i = 0; i < got.addr.size(); ++i) {
         ASSERT_TRUE(got.addr[i] == want.addr[i] &&
@@ -102,30 +129,18 @@ class StreamIdentityTest
 TEST_P(StreamIdentityTest, PipelineSchedulesMatchSingleStep)
 {
     // next() one instruction at a time is the reference engine's
-    // schedule. The request pipeline must replay the stream it derives
-    // exactly under both non-Auto modes: Threaded forces the
-    // producer-thread handoff even on a single hardware thread, Sliced
-    // forces the software-pipelined slices even on many.
+    // schedule; one run() window of the fast path's generation loop
+    // must replay the stream it derives exactly, and leave the fetch
+    // line (which the simulator carries run to run) in the same place.
     auto reference = makeSpecWorkload(GetParam());
     const RequestStream want = deriveSingleStep(
         collectSingleStep(*reference, stream_instructions));
 
-    for (PipelineMode mode :
-         {PipelineMode::Threaded, PipelineMode::Sliced}) {
-        auto workload = makeSpecWorkload(GetParam());
-        FetchDedup dedup{fetch_block_bits, invalid_addr};
-        RequestStream got;
-        {
-            RequestPipeline pipeline(*workload, dedup,
-                                     stream_instructions, mode);
-            while (const RequestBatch *batch = pipeline.acquire())
-                got.append(*batch);
-        }
-        expectSameRequests(got, want,
-                           mode == PipelineMode::Threaded
-                               ? "threaded pipeline"
-                               : "sliced pipeline");
-    }
+    auto workload = makeSpecWorkload(GetParam());
+    const RequestStream got =
+        collectRunWindows(*workload, {stream_instructions});
+    EXPECT_NE(got.cur_line, invalid_addr);
+    expectSameRequests(got, want, "nextRequests loop");
 }
 
 TEST_P(StreamIdentityTest, FusedRequestsMatchDerivedRequests)
@@ -148,21 +163,13 @@ TEST_P(StreamIdentityTest, FusedRequestsMatchDerivedRequests)
             want.append(derived);
             remaining -= scratch.size;
         }
+        want.cur_line = dedup.cur_line;
     }
 
     auto fused_workload = makeSpecWorkload(GetParam());
-    RequestStream got;
-    {
-        FetchDedup dedup{fetch_block_bits, invalid_addr};
-        RequestBatch batch;
-        std::uint64_t remaining = stream_instructions;
-        while (remaining > 0) {
-            fused_workload->nextRequests(batch, dedup, remaining);
-            got.append(batch);
-            remaining -= batch.instructions;
-        }
-    }
-    expectSameRequests(got, want, "fused nextRequests");
+    expectSameRequests(
+        collectRunWindows(*fused_workload, {stream_instructions}), want,
+        "fused nextRequests");
 
     // And mid-stream interchangeability: alternating the two producers
     // on one generator must still replay the reference stream -- the
@@ -193,47 +200,37 @@ TEST_P(StreamIdentityTest, FusedRequestsMatchDerivedRequests)
             }
             fused = !fused;
         }
+        mixed.cur_line = dedup.cur_line;
     }
     expectSameRequests(mixed, want, "alternating producers");
 }
 
 TEST_P(StreamIdentityTest, RequestPipelineSchedulesMatchSynchronous)
 {
-    // The fused request stream through both pipeline schedules against
-    // the synchronous fill loop: the handoff (thread or slice) must
-    // not move a single draw.
+    // The window schedules run() sees against one synchronous window:
+    // runFunctional's 10% warm-up then measured window, single
+    // instructions, and windows one short of, one past and exactly at
+    // the batch capacity. Each window restarts the loop with a fresh
+    // FetchDedup seeded from the carried line, and none may move a
+    // draw or a fetch request.
+    constexpr std::uint64_t cap = InstructionBatch::capacity;
     auto reference = makeSpecWorkload(GetParam());
-    RequestStream want;
-    {
-        FetchDedup dedup{fetch_block_bits, invalid_addr};
-        RequestBatch batch;
-        std::uint64_t remaining = stream_instructions;
-        while (remaining > 0) {
-            reference->nextRequests(batch, dedup, remaining);
-            want.append(batch);
-            remaining -= batch.instructions;
-        }
-    }
+    const RequestStream want =
+        collectRunWindows(*reference, {stream_instructions});
 
-    for (PipelineMode mode :
-         {PipelineMode::Threaded, PipelineMode::Sliced}) {
+    const std::vector<std::vector<std::uint64_t>> schedules = {
+        {stream_instructions / 10,
+         stream_instructions - stream_instructions / 10},
+        {1, 1, 1, stream_instructions - 3},
+        {cap - 1, cap + 1, stream_instructions - 2 * cap},
+        {cap, stream_instructions - cap},
+    };
+    for (const std::vector<std::uint64_t> &windows : schedules) {
         auto workload = makeSpecWorkload(GetParam());
-        FetchDedup dedup{fetch_block_bits, invalid_addr};
-        RequestStream got;
-        {
-            RequestPipeline pipeline(*workload, dedup,
-                                     stream_instructions, mode);
-            while (const RequestBatch *batch = pipeline.acquire())
-                got.append(*batch);
-        }
-        expectSameRequests(got, want,
-                           mode == PipelineMode::Threaded
-                               ? "threaded request pipeline"
-                               : "sliced request pipeline");
-        // The borrowed dedup state must land where the synchronous
-        // producer leaves it (the simulator's fetch line carries
-        // run-to-run).
-        EXPECT_NE(dedup.cur_line, invalid_addr);
+        expectSameRequests(collectRunWindows(*workload, windows), want,
+                           std::to_string(windows.size()) +
+                               "-window schedule starting at " +
+                               std::to_string(windows.front()));
     }
 }
 

@@ -348,7 +348,7 @@ def attribute_regression(name, run_prof_shares, base_prof_shares):
 #: phases sort after these, alphabetically.
 PROF_PHASE_ORDER = ("run", "batch_gen", "l1_peek", "verdict",
                     "hier_walk", "update_feed", "cold_account",
-                    "feed_drain", "gen_overlap", "lane_descent")
+                    "feed_drain", "lane_descent")
 
 
 def prof_phase_rows(node):
