@@ -91,7 +91,7 @@ main()
         std::printf("  access 0x%llx\n",
                     static_cast<unsigned long long>(addr));
         AccessResult r = hierarchy.access(AccessType::Load, addr, mask);
-        decisions.recordAccess(r);
+        decisions.record(r);
         for (std::uint8_t i = 0; i < r.num_probes; ++i) {
             const ProbeRecord &p = r.probes[i];
             std::printf(
@@ -116,7 +116,7 @@ main()
                     mnm.soundnessViolations()));
 
     // Fold the scenario's decision matrix into the run manifest.
-    for (std::uint32_t l = 0; l < DecisionMatrix::max_levels; ++l)
+    for (std::uint32_t l = 0; l < mnm.violationLevels(); ++l)
         decisions.setForbidden(l, mnm.violationsAtLevel(l));
     decisions.registerInto(globalStats(), "table1.confusion");
     globalStats().addCounter("table1.soundness_violations",

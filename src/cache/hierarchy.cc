@@ -13,9 +13,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
 {
     if (params_.levels.empty())
         fatal("hierarchy with no cache levels");
-    if (params_.levels.size() + 1 >= AccessResult::max_probes)
-        fatal("hierarchy deeper than %zu levels unsupported",
-              AccessResult::max_probes - 1);
+    if (params_.levels.size() > max_levels)
+        fatal("hierarchy deeper than %u levels unsupported", max_levels);
 
     std::uint64_t cache_seed = seed;
     for (std::size_t i = 0; i < params_.levels.size(); ++i) {

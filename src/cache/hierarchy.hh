@@ -242,6 +242,10 @@ struct AccessResult
 class CacheHierarchy
 {
   public:
+    /** Deepest hierarchy the constructor accepts: every level's probe
+     *  record plus the memory slot must fit AccessResult::max_probes. */
+    static constexpr std::uint32_t max_levels = AccessResult::max_probes - 2;
+
     explicit CacheHierarchy(const HierarchyParams &params,
                             std::uint64_t seed = 1);
 

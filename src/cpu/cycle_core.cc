@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -84,7 +83,6 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                                          8;
 
     while (committed < count) {
-        pollCellDeadline();
         // --- commit -------------------------------------------------
         for (std::uint32_t n = 0; n < params_.commit_width &&
                                   !window.empty();

@@ -48,7 +48,7 @@ class CycleOooCore
     CpuRunStats run(WorkloadGenerator &workload, std::uint64_t count);
 
     /** Coverage accumulated across run() calls (when an MNM is set). */
-    const CoverageTracker &coverage() const { return coverage_; }
+    const DecisionMatrix &coverage() const { return coverage_; }
 
   private:
     /** One in-flight instruction (fetch buffer or RUU). */
@@ -69,7 +69,7 @@ class CycleOooCore
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
-    CoverageTracker coverage_;
+    DecisionMatrix coverage_;
 
     /** Completion cycles of recent instructions, by seq (ring). */
     std::vector<Cycles> complete_ring_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 
-#include "util/deadline.hh"
 #include "util/logging.hh"
 
 namespace mnm
@@ -98,7 +97,6 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 
     Instruction inst;
     for (std::uint64_t i = 0; i < count; ++i) {
-        pollCellDeadline();
         workload.next(inst);
 
         // --- fetch -------------------------------------------------

@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "core/coverage.hh"
 #include "core/mnm_unit.hh"
+#include "obs/confusion.hh"
 #include "trace/workload.hh"
 #include "util/types.hh"
 
@@ -110,7 +110,7 @@ class OooCore
     CpuRunStats run(WorkloadGenerator &workload, std::uint64_t count);
 
     /** Coverage accumulated across run() calls (when an MNM is set). */
-    const CoverageTracker &coverage() const { return coverage_; }
+    const DecisionMatrix &coverage() const { return coverage_; }
 
   private:
     /** Access memory via the MNM + hierarchy; returns request latency. */
@@ -119,7 +119,7 @@ class OooCore
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
-    CoverageTracker coverage_;
+    DecisionMatrix coverage_;
 };
 
 } // namespace mnm

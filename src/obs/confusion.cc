@@ -5,12 +5,16 @@
 namespace mnm
 {
 
+// record() indexes levels_ by ProbeRecord::level without a range test.
+static_assert(DecisionMatrix::max_levels > CacheHierarchy::max_levels,
+              "every level a CacheHierarchy accepts needs a slot");
+
 void
-DecisionMatrix::recordAccess(const AccessResult &result)
+DecisionMatrix::record(const AccessResult &result)
 {
     for (std::uint8_t i = 0; i < result.num_probes; ++i) {
         const ProbeRecord &probe = result.probes[i];
-        if (probe.level < 2 || probe.level >= max_levels)
+        if (probe.level < 2)
             continue; // level-1 outcomes are never predicted
         Cells &cells = levels_[probe.level];
         if (probe.bypassed) {
@@ -33,8 +37,8 @@ DecisionMatrix::recordAccess(const AccessResult &result)
 void
 DecisionMatrix::setForbidden(std::uint32_t level, std::uint64_t count)
 {
-    if (level < max_levels)
-        levels_[level].predicted_miss_actual_hit = count;
+    MNM_ASSERT(level < max_levels, "decision-matrix level out of range");
+    levels_[level].predicted_miss_actual_hit = count;
 }
 
 const DecisionMatrix::Cells &
@@ -101,8 +105,8 @@ DecisionMatrix::reset()
 void
 DecisionMatrix::setCells(std::uint32_t level, const Cells &cells)
 {
-    if (level < max_levels)
-        levels_[level] = cells;
+    MNM_ASSERT(level < max_levels, "decision-matrix level out of range");
+    levels_[level] = cells;
 }
 
 void

@@ -22,9 +22,16 @@
  *    configurations the cell must be zero, and the tier-1 tests assert
  *    it (see assertSound() and DESIGN.md).
  *
+ * Coverage (paper Section 4.2: "the fraction of the misses
+ * identified by the technique over all cache misses") is a view of two
+ * of these cells: identified = predicted_miss_actual_miss, missed =
+ * maybe_actual_miss. Only bypassable misses count -- level-1 outcomes
+ * are never predicted -- and coverage is a property of the verdicts
+ * alone, independent of the MNM's serial or parallel placement.
+ *
  * An acted-upon forbidden decision cannot even be represented: a
  * bypassed probe that claims to have hit trips an MNM_ASSERT in
- * recordAccess().
+ * record().
  */
 
 #ifndef MNM_OBS_CONFUSION_HH
@@ -43,7 +50,9 @@ namespace mnm
 class DecisionMatrix
 {
   public:
-    static constexpr std::size_t max_levels = 16;
+    /** One-based level slots (0 and 1 stay empty): one for every level
+     *  a CacheHierarchy accepts, so no verdict is ever dropped. */
+    static constexpr std::size_t max_levels = CacheHierarchy::max_levels + 1;
 
     /** One level's decision counts. */
     struct Cells
@@ -72,12 +81,12 @@ class DecisionMatrix
     /**
      * Fold one completed access into the matrix: every probed or
      * bypassed cache at level >= 2 contributes one decision (level-1
-     * outcomes are never predicted, mirroring CoverageTracker). The
-     * forbidden cell is not touched here -- a suppressed unsound
-     * verdict leaves no trace in the AccessResult; it is reported by
-     * the MnmUnit and folded in via setForbidden().
+     * outcomes are never predicted). The forbidden cell is not touched
+     * here -- a suppressed unsound verdict leaves no trace in the
+     * AccessResult; it is reported by the MnmUnit and folded in via
+     * setForbidden().
      */
-    void recordAccess(const AccessResult &result);
+    void record(const AccessResult &result);
 
     /** Overwrite the forbidden-cell count for @p level (cumulative
      *  totals from MnmUnit::violationsAtLevel). */
@@ -89,7 +98,28 @@ class DecisionMatrix
     /** Forbidden-cell sum across levels (0 for sound configs). */
     std::uint64_t forbidden() const;
 
-    /** Derived coverage, identical to CoverageTracker's definition. */
+    /** Misses the MNM identified (accesses actually bypassed). */
+    std::uint64_t identified() const
+    {
+        return totals().predicted_miss_actual_miss;
+    }
+    /** Misses that were probed in full (opportunity not taken). */
+    std::uint64_t unidentified() const
+    {
+        return totals().maybe_actual_miss;
+    }
+    /** All bypassable misses seen. */
+    std::uint64_t opportunities() const { return totals().actualMisses(); }
+    std::uint64_t identifiedAt(std::uint32_t level) const
+    {
+        return at(level).predicted_miss_actual_miss;
+    }
+    std::uint64_t unidentifiedAt(std::uint32_t level) const
+    {
+        return at(level).maybe_actual_miss;
+    }
+
+    /** The paper's coverage metric in [0,1]: identified/opportunities. */
     double coverage() const;
     double coverageAt(std::uint32_t level) const;
 
@@ -114,6 +144,10 @@ class DecisionMatrix
   private:
     std::array<Cells, max_levels> levels_{};
 };
+
+/** The coverage ledger is the decision matrix; the old name stays only
+ *  because perfbench/cc/ spells it. */
+using CoverageTracker = DecisionMatrix;
 
 } // namespace mnm
 

@@ -53,8 +53,8 @@ namespace mnm
 class StatsRegistry;
 
 /** The instrumented stages. The manifest/export names are stable; the
- *  values are positions in the process pool's prof wire format, so
- *  any change here bumps sim/proc_pool.cc's prof_wire_version. */
+ *  values are positions in the process pool's prof wire format, which
+ *  forked workers share with their supervisor. */
 enum class Phase : std::uint8_t
 {
     Run,        //!< MemorySimulator::run root (self = loop overhead)

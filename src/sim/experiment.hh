@@ -36,10 +36,12 @@
  *   MNM_RETRIES       extra attempts for a cell whose simulation
  *                     throws (default 1; watchdog timeouts never
  *                     retry)
- *   MNM_CELL_TIMEOUT_S  per-cell watchdog in seconds (default: no
- *                     timeout). Cooperative under MNM_JOBS (the cell
- *                     must poll); a real supervisor-enforced SIGKILL
- *                     deadline under MNM_WORKERS
+ *   MNM_CELL_TIMEOUT_S  per-cell watchdog in seconds for runSweep
+ *                     cells only (default: no timeout). Cooperative
+ *                     under MNM_JOBS (MemorySimulator::run polls it);
+ *                     a real supervisor-enforced SIGKILL deadline
+ *                     under MNM_WORKERS. Timing runs (OooCore,
+ *                     CycleOooCore) are never watched
  *   MNM_FAIL_CELL     testing: kill any cell whose "app · label"
  *                     contains the substring. "<substr>" throws (the
  *                     thread-containable failure); "<substr>:<mode>"
@@ -111,8 +113,8 @@ struct ExperimentOptions
     std::string checkpoint;
     /** Extra attempts for a throwing cell (MNM_RETRIES). */
     unsigned retries = 1;
-    /** Per-cell watchdog budget in seconds (MNM_CELL_TIMEOUT_S);
-     *  0 = no watchdog. */
+    /** Per-cell watchdog budget in seconds (MNM_CELL_TIMEOUT_S) for
+     *  runSweep cells; 0 = no watchdog. */
     double cell_timeout_s = 0.0;
     /** Cell fault injection (MNM_FAIL_CELL); match empty = disabled. */
     CellFaultSpec fail_cell;

@@ -91,10 +91,8 @@ MemorySimulator::accountAccess(const AccessResult &access,
                                MemSimResult &result)
 {
     ++result.requests;
-    if (mnm_) {
-        result.coverage.record(access);
-        result.decisions.recordAccess(access);
-    }
+    if (mnm_)
+        result.decisions.record(access);
 
     Cycles latency = access.latency;
     if (access.from_memory)
@@ -419,6 +417,7 @@ MemorySimulator::run(WorkloadGenerator &workload,
         for (std::uint32_t l = 0; l < mnm_->violationLevels(); ++l)
             result.decisions.setForbidden(l, mnm_->violationsAtLevel(l));
     }
+    result.coverage = result.decisions;
 
     for (CacheId id = 0; id < hierarchy_.numCaches(); ++id) {
         const Cache &c = hierarchy_.cache(id);

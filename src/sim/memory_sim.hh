@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "core/coverage.hh"
 #include "core/mnm_unit.hh"
 #include "obs/confusion.hh"
 #include "power/sram_model.hh"
@@ -79,12 +78,16 @@ struct MemSimResult
     std::uint64_t memory_accesses = 0;
 
     EnergyBreakdown energy;
-    CoverageTracker coverage;
-    /** Per-level MNM decision confusion matrix. The three sound cells
-     *  cover this run() call's measured window; the forbidden cell
-     *  mirrors soundness_violations (cumulative over the simulator's
-     *  lifetime, warm-up included -- it must be zero anyway). */
+    /** Per-level MNM decision confusion matrix, the run's one decision
+     *  ledger (coverage is derived from its cells). The three sound
+     *  cells cover this run() call's measured window; the forbidden
+     *  cell mirrors soundness_violations (cumulative over the
+     *  simulator's lifetime, warm-up included -- it must be zero
+     *  anyway). */
     DecisionMatrix decisions;
+    /** Copy of decisions, set once at the end of run(); kept because
+     *  perfbench/cc/ reads coverage through this name. */
+    DecisionMatrix coverage;
     std::uint64_t soundness_violations = 0;
     std::uint64_t filter_anomalies = 0;
     std::uint64_t mnm_storage_bits = 0;
@@ -169,7 +172,7 @@ class MemorySimulator
     };
 
     /** Post-walk accounting shared by performAccess() and the lane
-     *  queue's descendLanes consume callback: coverage, decisions,
+     *  queue's descendLanes consume callback: decisions,
      *  latency/energy-event counts -- everything an access adds to the
      *  result once its AccessResult exists. Pure sums over the record,
      *  so invocation order across accesses cannot change any total.

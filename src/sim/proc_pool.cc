@@ -68,25 +68,16 @@ constexpr std::uint32_t max_frame_bytes = 64u * 1024 * 1024;
 // (the profiler state is per-process; the supervisor cannot see it) and
 // ships the per-cell delta home inside the response frame, so per-cell
 // and per-worker attribution work identically to the thread pool.
-// Format: {"v":<version>,"phases":[...]} where "phases" is a JSON array
-// of num_phases arrays of the 8 PhaseCounters fields in declaration
-// order. The arrays are positional, which is exactly why the block
-// carries an explicit version: adding or removing a Phase changes the
-// array shape, and a supervisor paired with a worker binary from the
-// other side of that change must drop the block with a warning instead
-// of folding counters into the wrong phases. The version bumps
-// whenever the positional layout changes (v3 = the nine-phase layout
-// without gen_overlap; v2 was the ten-phase layout; v1 was a bare
-// eight-phase array with no tag).
-
-constexpr std::uint64_t prof_wire_version = 3;
+// Format: a JSON array of num_phases arrays of the 8 PhaseCounters
+// fields in declaration order. The workers are fork()ed from the
+// supervisor without exec, so both sides share one Phase enum and the
+// positional layout cannot skew; the reader still checks the shape and
+// drops a garbled block instead of folding it.
 
 std::string
 writePhaseTotals(const PhaseTotals &totals)
 {
-    std::string out = "{\"v\":";
-    out += std::to_string(prof_wire_version);
-    out += ",\"phases\":[";
+    std::string out = "[";
     for (int p = 0; p < num_phases; ++p) {
         const PhaseCounters &c = totals.phase[p];
         if (p)
@@ -109,27 +100,16 @@ writePhaseTotals(const PhaseTotals &totals)
         out += std::to_string(c.task_clock_ns);
         out += ']';
     }
-    out += "]}";
+    out += ']';
     return out;
 }
 
 std::optional<PhaseTotals>
 readPhaseTotals(const JsonValue &value)
 {
-    // A bare array is the untagged v1 layout (a pre-version worker
-    // binary); anything without a matching version tag is schema skew
-    // and must be dropped, never folded positionally.
-    if (!value.isObject())
+    if (!value.isArray())
         return std::nullopt;
-    const JsonValue *version = value.find("v");
-    if (!version || !version->isInteger() ||
-        version->asU64() != prof_wire_version) {
-        return std::nullopt;
-    }
-    const JsonValue *phases_json = value.find("phases");
-    if (!phases_json || !phases_json->isArray())
-        return std::nullopt;
-    const JsonValue::Array &phases = phases_json->asArray();
+    const JsonValue::Array &phases = value.asArray();
     if (phases.size() != static_cast<std::size_t>(num_phases))
         return std::nullopt;
     PhaseTotals totals;
@@ -649,9 +629,8 @@ class ProcPoolSupervisor
         if (const JsonValue *prof_json = value->find("prof")) {
             std::optional<PhaseTotals> prof = readPhaseTotals(*prof_json);
             if (!prof) {
-                warn("MNM_WORKERS: worker %zu sent a prof block for "
-                     "cell %zu with an unreadable or mismatched wire "
-                     "version (binary skew?); dropping its attribution",
+                warn("MNM_WORKERS: worker %zu sent a malformed prof "
+                     "block for cell %zu; dropping its attribution",
                      slot, cell_index);
             } else {
                 cell_prof_[cell_index] = *prof;

@@ -106,33 +106,6 @@ hashFilterSpec(Fnv1a64 &h, const FilterSpec &spec)
 
 // -------------------------------------------- result (de)serializer
 
-void
-writeU64Array16(JsonWriter &json, std::string_view key,
-                const std::array<std::uint64_t, 16> &values)
-{
-    json.key(key);
-    json.beginArray();
-    for (std::uint64_t v : values)
-        json.value(v);
-    json.endArray();
-}
-
-bool
-readU64Array16(const JsonValue &object, const std::string &key,
-               std::array<std::uint64_t, 16> &out)
-{
-    const JsonValue *array = object.find(key);
-    if (!array || !array->isArray() || array->asArray().size() != 16)
-        return false;
-    for (std::size_t i = 0; i < 16; ++i) {
-        const JsonValue &v = array->asArray()[i];
-        if (!v.isInteger())
-            return false;
-        out[i] = v.asU64();
-    }
-    return true;
-}
-
 /** Fetch a required exact-integer member into @p out. */
 bool
 need(const JsonValue &object, const std::string &key, std::uint64_t &out)
@@ -274,19 +247,6 @@ writeMemSimResult(const MemSimResult &result)
         json.field("mnm_pj", result.energy.mnm_pj);
         json.endObject();
 
-        json.key("coverage");
-        json.beginObject();
-        json.field("identified", result.coverage.identified());
-        json.field("unidentified", result.coverage.unidentified());
-        std::array<std::uint64_t, 16> at{};
-        for (std::uint32_t l = 0; l < 16; ++l)
-            at[l] = result.coverage.identifiedAt(l);
-        writeU64Array16(json, "identified_at", at);
-        for (std::uint32_t l = 0; l < 16; ++l)
-            at[l] = result.coverage.unidentifiedAt(l);
-        writeU64Array16(json, "unidentified_at", at);
-        json.endObject();
-
         json.key("decisions");
         json.beginArray();
         for (std::uint32_t l = 0; l < DecisionMatrix::max_levels; ++l) {
@@ -359,21 +319,8 @@ readMemSimResult(const JsonValue &value)
         return std::nullopt;
     }
 
-    const JsonValue *coverage = value.find("coverage");
-    std::uint64_t identified = 0, unidentified = 0;
-    std::array<std::uint64_t, 16> identified_at{};
-    std::array<std::uint64_t, 16> unidentified_at{};
-    if (!coverage || !coverage->isObject() ||
-        !need(*coverage, "identified", identified) ||
-        !need(*coverage, "unidentified", unidentified) ||
-        !readU64Array16(*coverage, "identified_at", identified_at) ||
-        !readU64Array16(*coverage, "unidentified_at", unidentified_at)) {
-        return std::nullopt;
-    }
-    static_assert(CoverageTracker::max_levels == 16);
-    result.coverage.restore(identified, unidentified, identified_at,
-                            unidentified_at);
-
+    // Coverage is derived from the decision cells; a "coverage" object
+    // written by older binaries is redundant and ignored.
     const JsonValue *decisions = value.find("decisions");
     if (!decisions || !decisions->isArray())
         return std::nullopt;
@@ -393,6 +340,7 @@ readMemSimResult(const JsonValue &value)
         result.decisions.setCells(static_cast<std::uint32_t>(level),
                                   cells);
     }
+    result.coverage = result.decisions;
 
     const JsonValue *caches = value.find("caches");
     if (!caches || !caches->isArray())

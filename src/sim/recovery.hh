@@ -68,11 +68,16 @@ std::string cellFingerprint(const SweepCell &cell);
 
 /** Serialize @p result as one compact (single-line) JSON object. All
  *  counters are written exactly; doubles use the shortest round-trip
- *  form, so deserializing reproduces bit-identical values. */
+ *  form, so deserializing reproduces bit-identical values. The MNM
+ *  decisions travel once, as the non-empty levels of the confusion
+ *  matrix; coverage is not written because it derives from them. */
 std::string writeMemSimResult(const MemSimResult &result);
 
-/** Inverse of writeMemSimResult(). nullopt when @p text is not a
- *  complete well-formed result object (torn journal line). */
+/** Inverse of writeMemSimResult(): coverage is rebuilt from the
+ *  decision cells, and a "coverage" object (written by older binaries,
+ *  redundant with the cells) is ignored, so their journals still
+ *  replay. nullopt when @p text is not a complete well-formed result
+ *  object (torn journal line) or names a level outside the matrix. */
 std::optional<MemSimResult> readMemSimResult(std::string_view text);
 
 /** Same, from an already parsed JSON value. */

@@ -29,7 +29,14 @@ merge(MemSimResult &into, const MemSimResult &window)
     into.mnm_storage_bits = window.mnm_storage_bits;
     // Cache snapshots hold cumulative counters; keep the latest.
     into.caches = window.caches;
-    into.coverage.merge(window.coverage);
+    // The sound cells are per window and add up; the forbidden cell is
+    // cumulative, like soundness_violations, so keep the latest.
+    into.decisions.merge(window.decisions);
+    for (std::uint32_t l = 0; l < DecisionMatrix::max_levels; ++l) {
+        into.decisions.setForbidden(
+            l, window.decisions.at(l).predicted_miss_actual_hit);
+    }
+    into.coverage = into.decisions;
 }
 
 } // anonymous namespace
@@ -51,7 +58,7 @@ runSampled(MemorySimulator &sim, WorkloadGenerator &workload,
         MemSimResult window = sim.run(workload, plan.window);
         out.access_time.add(window.avgAccessTime());
         out.miss_time_fraction.add(window.missTimeFraction());
-        out.coverage.add(window.coverage.coverage());
+        out.coverage.add(window.decisions.coverage());
         merge(out.combined, window);
     }
     return out;

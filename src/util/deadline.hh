@@ -2,12 +2,15 @@
  * @file
  * Cooperative per-cell watchdog deadlines for long-running simulations.
  *
- * A sweep worker arms a deadline before entering a cell's simulation
- * loop (sim/runner.cc, MNM_CELL_TIMEOUT_S); the simulation's inner
- * loops call pollCellDeadline() once per simulated instruction. The
- * poll is a thread-local flag test when no deadline is armed and
- * consults the clock only every 8192 calls when one is, so the cost is
- * noise against even the fastest functional-simulation loop. When the
+ * runSweep's thread pool arms a deadline around each cell's
+ * runFunctional() call (sim/runner.cc, MNM_CELL_TIMEOUT_S), and
+ * MemorySimulator::run polls it: once per instruction on the
+ * single-step reference engine, once per request batch on the fast
+ * path. Nothing else arms or polls one; the timing cores run unwatched.
+ * The per-instruction poll is a thread-local flag test when no
+ * deadline is armed and consults the clock only every 8192 calls when
+ * one is, so the cost is noise against even the fastest
+ * functional-simulation loop. When the
  * deadline has passed, the poll throws CellTimeoutError: the cell's
  * stack unwinds cleanly (simulator state is all stack-owned), the
  * worker records the failure in its slot, and the pool keeps draining
@@ -72,7 +75,7 @@ void disarmCellDeadline();
 bool cellDeadlineArmed();
 
 /**
- * Cheap cooperative check, called from simulation inner loops. Throws
+ * Cheap cooperative check, called per simulated instruction. Throws
  * CellTimeoutError once the armed deadline has passed; a no-op when no
  * deadline is armed.
  */

@@ -264,5 +264,39 @@ TEST(DeepHierarchyTest, ViolationCountersReachPastOldSixteenLevelCap)
     EXPECT_EQ(sum, unit.soundnessViolations());
 }
 
+TEST(DeepHierarchyTest, DecisionLedgerKeepsVerdictsPastLevelFifteen)
+{
+    // The decision matrix used to hold 16 level slots, so a 17-level
+    // tower's level-16/17 verdicts vanished from it: the oracle counted
+    // hundreds of violations beside an empty forbidden cell, and the
+    // per-level splits missed opportunities the totals counted. Fault
+    // the level-17 filter as above and measure one window with it.
+    constexpr std::uint32_t depth = 17;
+    MnmSpec spec = makeUniformSpec(TmnmSpec{10, 2, 3});
+    spec.oracle_check = true;
+    MemorySimulator sim(towerHierarchy(depth), spec);
+    auto workload = makeSpecWorkload("164.gzip");
+    sim.run(*workload, 60000);
+    MnmUnit &unit = *sim.mnm();
+    auto surfaces = FaultInjector::faultSurfaces(unit);
+    ASSERT_FALSE(surfaces.empty());
+    std::size_t deepest = surfaces.size() - 1;
+    for (std::uint64_t bit = 0; bit < surfaces[deepest].bits; bit += 3)
+        FaultInjector::flip(unit, deepest, bit);
+    MemSimResult r = sim.run(*workload, 60000);
+
+    EXPECT_GT(r.soundness_violations, 0u);
+    EXPECT_EQ(r.decisions.forbidden(), r.soundness_violations);
+    EXPECT_GT(r.decisions.at(depth).predicted_miss_actual_hit, 0u);
+    EXPECT_GT(r.decisions.unidentifiedAt(depth), 0u);
+    std::uint64_t per_level = 0;
+    for (std::uint32_t l = 0; l < DecisionMatrix::max_levels; ++l)
+        per_level += r.decisions.identifiedAt(l) +
+                     r.decisions.unidentifiedAt(l);
+    EXPECT_EQ(per_level, r.decisions.opportunities());
+    EXPECT_EQ(r.coverage.opportunities(), r.decisions.opportunities());
+    EXPECT_EQ(r.coverage.coverage(), r.decisions.coverage());
+}
+
 } // anonymous namespace
 } // namespace mnm

@@ -95,18 +95,6 @@ expectIdenticalResults(const MemSimResult &batched,
               reference.energy.writeback_pj);
     EXPECT_EQ(batched.energy.mnm_pj, reference.energy.mnm_pj);
 
-    EXPECT_EQ(batched.coverage.identified(),
-              reference.coverage.identified());
-    EXPECT_EQ(batched.coverage.unidentified(),
-              reference.coverage.unidentified());
-    for (std::uint32_t l = 0; l < CoverageTracker::max_levels; ++l) {
-        EXPECT_EQ(batched.coverage.identifiedAt(l),
-                  reference.coverage.identifiedAt(l))
-            << "level " << l;
-        EXPECT_EQ(batched.coverage.unidentifiedAt(l),
-                  reference.coverage.unidentifiedAt(l))
-            << "level " << l;
-    }
     for (std::uint32_t l = 0; l < DecisionMatrix::max_levels; ++l) {
         const DecisionMatrix::Cells &b = batched.decisions.at(l);
         const DecisionMatrix::Cells &r = reference.decisions.at(l);

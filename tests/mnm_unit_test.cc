@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
-#include "core/coverage.hh"
 #include "core/mnm_unit.hh"
 #include "core/presets.hh"
+#include "obs/confusion.hh"
 #include "sim/config.hh"
 
 namespace mnm
@@ -278,7 +278,7 @@ TEST(PresetsTest, HmnmStorageGrowsWithIndex)
 
 TEST(CoverageTest, CountsIdentifiedAndMissed)
 {
-    CoverageTracker tracker;
+    DecisionMatrix tracker;
     AccessResult r;
     r.supply_level = 4; // supplied by L4: levels 2,3 were bypassable
     r.addProbe({0, 1, false, false}); // L1 miss: not counted
@@ -297,7 +297,7 @@ TEST(CoverageTest, CountsIdentifiedAndMissed)
 
 TEST(CoverageTest, L1HitContributesNothing)
 {
-    CoverageTracker tracker;
+    DecisionMatrix tracker;
     AccessResult r;
     r.supply_level = 1;
     r.addProbe({0, 1, false, true});
@@ -308,7 +308,7 @@ TEST(CoverageTest, L1HitContributesNothing)
 
 TEST(CoverageTest, ResetClears)
 {
-    CoverageTracker tracker;
+    DecisionMatrix tracker;
     AccessResult r;
     r.supply_level = 3;
     r.addProbe({2, 2, true, false});

@@ -226,7 +226,7 @@ TEST(DecisionMatrixTest, Table1ScenarioCountsPerLevel)
     DecisionMatrix decisions;
     auto access = [&](Addr addr) {
         BypassMask mask = mnm.computeBypass(AccessType::Load, addr);
-        decisions.recordAccess(
+        decisions.record(
             hierarchy.access(AccessType::Load, addr, mask));
     };
 
@@ -262,7 +262,7 @@ TEST(DecisionMatrixTest, MergeAndResetAreCellWise)
     DecisionMatrix a;
     auto access = [&](Addr addr) {
         BypassMask mask = mnm.computeBypass(AccessType::Load, addr);
-        a.recordAccess(hierarchy.access(AccessType::Load, addr, mask));
+        a.record(hierarchy.access(AccessType::Load, addr, mask));
     };
     access(0x2f00);
     access(0x2c00);
@@ -287,7 +287,7 @@ TEST(DecisionMatrixTest, RegisterIntoEmitsNonEmptyLevelsOnly)
     CacheHierarchy hierarchy(table1Params());
     MnmUnit mnm(makeRmnmSpec(128, 1), hierarchy);
     BypassMask mask = mnm.computeBypass(AccessType::Load, 0x2f00);
-    decisions.recordAccess(
+    decisions.record(
         hierarchy.access(AccessType::Load, 0x2f00, mask));
     decisions.registerInto(reg, "x.confusion");
     EXPECT_TRUE(reg.has("x.confusion.l2.maybe_actual_miss"));

@@ -130,6 +130,75 @@ TEST(RecoveryTest, ResultRoundTripsByteIdentical)
     }
 }
 
+TEST(RecoveryTest, DeepResultRoundTripsEveryLevel)
+{
+    // The record used to carry 16 level slots, so a 17-level tower's
+    // deepest verdicts could not survive a journal or a worker frame.
+    MemSimResult deep;
+    deep.instructions = 1000;
+    deep.decisions.setCells(2, {40, 10, 300, 0});
+    deep.decisions.setCells(17, {7, 5, 11, 3});
+    deep.soundness_violations = 3;
+    std::string text = writeMemSimResult(deep);
+    std::optional<MemSimResult> back = readMemSimResult(text);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(writeMemSimResult(*back), text);
+    const DecisionMatrix::Cells &cells = back->decisions.at(17);
+    EXPECT_EQ(cells.predicted_miss_actual_miss, 7u);
+    EXPECT_EQ(cells.maybe_actual_miss, 5u);
+    EXPECT_EQ(cells.maybe_actual_hit, 11u);
+    EXPECT_EQ(cells.predicted_miss_actual_hit, 3u);
+    EXPECT_EQ(back->decisions.forbidden(), back->soundness_violations);
+    EXPECT_EQ(back->coverage.identifiedAt(17), 7u);
+    EXPECT_EQ(back->coverage.opportunities(), 62u);
+
+    // A level outside the matrix is outside input, not a silent drop.
+    std::string bad = text;
+    std::size_t at = bad.find("\"level\":17");
+    ASSERT_NE(at, std::string::npos);
+    bad.replace(at, 10, "\"level\":99");
+    EXPECT_FALSE(readMemSimResult(bad).has_value());
+}
+
+TEST(RecoveryTest, OlderRecordWithCoverageObjectReplaysFromDecisions)
+{
+    // A record as older binaries wrote it: a separate 16-slot
+    // "coverage" object beside the decision cells. Here it is a
+    // 17-level run's, whose coverage totals counted level-17 misses
+    // the 16-slot cells had dropped. The replay ignores the object and
+    // reports the coverage its decisions imply.
+    const std::string text =
+        R"({"instructions":1000,"requests":1500,"data_requests":400,)"
+        R"("fetch_requests":1100,"total_access_cycles":9000,)"
+        R"("miss_cycles":2500,"memory_accesses":12,)"
+        R"("energy":{"probe_hit_pj":10.5,"probe_miss_pj":2.25,)"
+        R"("fill_pj":1,"writeback_pj":0,"mnm_pj":0.5},)"
+        R"("coverage":{"identified":9,"unidentified":6,)"
+        R"("identified_at":[0,0,4,0,0,0,0,0,0,0,0,0,0,0,0,0],)"
+        R"("unidentified_at":[0,0,1,2,0,0,0,0,0,0,0,0,0,0,0,0]},)"
+        R"("decisions":[{"level":2,"predicted_miss_actual_miss":4,)"
+        R"("maybe_actual_miss":1,"maybe_actual_hit":20,)"
+        R"("predicted_miss_actual_hit":0},{"level":3,)"
+        R"("predicted_miss_actual_miss":0,"maybe_actual_miss":2,)"
+        R"("maybe_actual_hit":5,"predicted_miss_actual_hit":0}],)"
+        R"("soundness_violations":0,"filter_anomalies":0,)"
+        R"("mnm_storage_bits":4096,"caches":[{"name":"dl1","level":1,)"
+        R"("accesses":400,"hits":380,"mru_hits":350,"misses":20,)"
+        R"("bypasses":0,"hit_rate":0.95}]})";
+    std::optional<MemSimResult> back = readMemSimResult(text);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->coverage.identified(), 4u);
+    EXPECT_EQ(back->coverage.unidentified(), 3u);
+    EXPECT_EQ(back->coverage.opportunities(),
+              back->decisions.totals().actualMisses());
+    EXPECT_EQ(back->coverage.unidentifiedAt(3), 2u);
+    EXPECT_EQ(back->decisions.at(2).maybe_actual_hit, 20u);
+    EXPECT_EQ(back->caches.size(), 1u);
+    // Re-serialized, the record carries the decisions only.
+    EXPECT_EQ(writeMemSimResult(*back).find("\"coverage\""),
+              std::string::npos);
+}
+
 TEST(RecoveryTest, ReadRejectsTornText)
 {
     ExperimentOptions opts;

@@ -84,6 +84,28 @@ TEST(SamplingTest, CoverageMergesAcrossWindows)
     EXPECT_LE(r.combined.coverage.coverage(), r.coverage.max() + 1e-12);
 }
 
+TEST(SamplingTest, CombinedKeepsTheConfusionMatrix)
+{
+    // merge() used to fold only the coverage counts, leaving the
+    // combined confusion matrix all zero (and its forbidden() 0 no
+    // matter what happened). Coverage is a view of the matrix, so the
+    // two must describe the same misses.
+    MemorySimulator sim(paperHierarchy(5), makeHmnmSpec(4));
+    auto workload = makeSpecWorkload("181.mcf");
+    SamplingPlan plan;
+    plan.fast_forward = 20000;
+    plan.window = 20000;
+    plan.windows = 3;
+    plan.stride = 5000;
+    SampledResult r = runSampled(sim, *workload, plan);
+    const DecisionMatrix &d = r.combined.decisions;
+    EXPECT_GT(d.totals().actualMisses(), 0u);
+    EXPECT_EQ(d.totals().actualMisses(),
+              r.combined.coverage.opportunities());
+    EXPECT_GT(d.totals().maybe_actual_hit, 0u);
+    EXPECT_EQ(d.forbidden(), r.combined.soundness_violations);
+}
+
 TEST(SamplingTest, RejectsEmptyPlan)
 {
     MemorySimulator sim(paperHierarchy(3));
@@ -96,8 +118,8 @@ TEST(SamplingTest, RejectsEmptyPlan)
 
 TEST(CoverageMergeTest, CountsAdd)
 {
-    CoverageTracker a;
-    CoverageTracker b;
+    DecisionMatrix a;
+    DecisionMatrix b;
     AccessResult r;
     r.supply_level = 3;
     r.addProbe({1, 2, true, false});

@@ -83,8 +83,8 @@ TEST_P(SoundnessTest, NoUnsoundVerdictsUnderOracleCheck)
 
     // The confusion matrix sees the same run: its forbidden cell
     // (predicted-miss/actual-hit) must be empty -- assertSound() panics
-    // otherwise -- and its derived coverage is the CoverageTracker's
-    // number computed from raw cells, so the two must agree exactly.
+    // otherwise -- and the coverage field is a copy of the matrix, so
+    // the two must agree exactly.
     EXPECT_EQ(r.decisions.forbidden(), 0u)
         << config << " on " << workload_kind;
     r.decisions.assertSound(config.c_str());
