@@ -8,6 +8,7 @@
  */
 
 #include <memory>
+#include <type_traits>
 
 #include "core/presets.hh"
 #include "cpu/cycle_core.hh"
@@ -23,13 +24,16 @@ namespace
 template <typename Core>
 Cycles
 runCore(const std::string &app, const std::string &config,
-        std::uint64_t instructions)
+        std::uint64_t instructions, bool reference_kernel)
 {
     CacheHierarchy hierarchy(paperHierarchy(5));
     std::unique_ptr<MnmUnit> mnm;
     if (!config.empty())
         mnm = std::make_unique<MnmUnit>(mnmSpecByName(config), hierarchy);
     Core core(paperCpu(5), hierarchy, mnm.get());
+    // The cycle-driven core has one (per-access) path only.
+    if constexpr (std::is_same_v<Core, OooCore>)
+        core.setReferenceKernel(reference_kernel);
     auto workload = makeSpecWorkload(app);
     return core.run(*workload, instructions).cycles;
 }
@@ -49,6 +53,8 @@ main()
     bench.setHeader({"app", "df HMNM4", "cyc HMNM4", "df Perfect",
                      "cyc Perfect", "ipc ratio"});
 
+    const bool reference_kernel = referenceKernelFromEnv();
+
     // Six timing runs per app (2 core models x 3 configs), flattened
     // into one cell grid so every run parallelizes independently.
     const char *configs[] = {"", "HMNM4", "Perfect"};
@@ -61,8 +67,10 @@ main()
                 const std::string &app = opts.apps[i / kinds];
                 std::size_t k = i % kinds;
                 const char *config = configs[k % 3];
-                return k < 3 ? runCore<OooCore>(app, config, n)
-                             : runCore<CycleOooCore>(app, config, n);
+                return k < 3 ? runCore<OooCore>(app, config, n,
+                                                reference_kernel)
+                             : runCore<CycleOooCore>(app, config, n,
+                                                     reference_kernel);
             });
     } catch (const SweepFailure &e) {
         fatal("%s", e.what());

@@ -8,6 +8,8 @@
  * energy, and average translation latency.
  */
 
+#include <memory>
+
 #include "cache/tlb.hh"
 #include "core/tlb_filter.hh"
 #include "harness.hh"
@@ -54,31 +56,37 @@ main()
             params.entries = 64;
             params.associativity = 0;
 
+            // Both passes stream the app's data addresses a batch at a
+            // time (heap: 128KB is unkind to worker stacks).
+            auto batch = std::make_unique<InstructionBatch>();
+            const auto for_each_data_addr = [&](auto &&translate) {
+                auto workload = makeSpecWorkload(app);
+                for (std::uint64_t left = opts.instructions; left > 0;
+                     left -= batch->size) {
+                    workload->nextBatch(*batch, left);
+                    for (const Instruction &inst : *batch) {
+                        if (inst.isMem())
+                            translate(inst.mem_addr);
+                    }
+                }
+            };
+
             // Baseline: bare TLB.
             Tlb base(params);
-            auto w1 = makeSpecWorkload(app);
-            Instruction inst;
             Cycles base_cycles = 0;
             std::uint64_t accesses = 0;
-            for (std::uint64_t i = 0; i < opts.instructions; ++i) {
-                w1->next(inst);
-                if (!inst.isMem())
-                    continue;
-                base_cycles += base.translate(inst.mem_addr);
+            for_each_data_addr([&](Addr addr) {
+                base_cycles += base.translate(addr);
                 ++accesses;
-            }
+            });
 
             // Filtered: TMNM at page granularity.
             Tlb filtered(params);
             TlbFilterUnit filter(TmnmSpec{8, 2, 3}, filtered);
-            auto w2 = makeSpecWorkload(app);
             Cycles filt_cycles = 0;
-            for (std::uint64_t i = 0; i < opts.instructions; ++i) {
-                w2->next(inst);
-                if (!inst.isMem())
-                    continue;
-                filt_cycles += filter.translate(inst.mem_addr);
-            }
+            for_each_data_addr([&](Addr addr) {
+                filt_cycles += filter.translate(addr);
+            });
 
             double base_energy =
                 tlb_probe.read_energy_pj * static_cast<double>(accesses);

@@ -23,7 +23,7 @@ namespace
 
 Cycles
 runCycles(const std::string &app, const std::string &config,
-          std::uint64_t instructions)
+          std::uint64_t instructions, bool reference_kernel)
 {
     CacheHierarchy hierarchy(paperHierarchy(5));
     std::unique_ptr<MnmUnit> mnm;
@@ -33,6 +33,7 @@ runCycles(const std::string &app, const std::string &config,
         mnm = std::make_unique<MnmUnit>(spec, hierarchy);
     }
     OooCore core(paperCpu(5), hierarchy, mnm.get());
+    core.setReferenceKernel(reference_kernel);
     auto workload = makeSpecWorkload(app);
     // Warm the hierarchy, then measure.
     core.run(*workload, instructions / 10);
@@ -56,6 +57,7 @@ main()
         configs.push_back(config);
     }
     bench.setHeader(header);
+    const bool reference_kernel = referenceKernelFromEnv();
 
     // Timing-core runs, one cell per (app, config), app-major. Every
     // column is baseline-relative, so a failure aborts the bench with
@@ -67,7 +69,7 @@ main()
             opts.apps.size() * configs.size(), [&](std::size_t i) {
                 return runCycles(opts.apps[i / configs.size()],
                                  configs[i % configs.size()],
-                                 opts.instructions);
+                                 opts.instructions, reference_kernel);
             });
     } catch (const SweepFailure &e) {
         fatal("%s", e.what());

@@ -25,6 +25,8 @@ main()
                      "dl1 hit%", "dl2 hit%", "il1 hit%", "il2 hit%",
                      "ul3 hit%", "ul4 hit%", "ul5 hit%"});
 
+    const bool reference_kernel = referenceKernelFromEnv();
+
     // One timing-core run per app; each cell returns its full row.
     // Timing runs are all-or-nothing: a failure aborts the bench with
     // the aggregate error list (unlike runSweep's gap markers).
@@ -35,6 +37,7 @@ main()
             opts.apps.size(), [&](std::size_t a) {
                 CacheHierarchy hierarchy(paperHierarchy(5));
                 OooCore core(paperCpu(5), hierarchy);
+                core.setReferenceKernel(reference_kernel);
                 auto workload = makeSpecWorkload(opts.apps[a]);
                 CpuRunStats stats =
                     core.run(*workload, opts.instructions);

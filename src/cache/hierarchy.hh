@@ -145,6 +145,9 @@ struct DescentLane
 {
     Addr addr;
     AccessType type;
+    /** The lane's position in its request batch (the consumer's
+     *  per-request slot). */
+    std::uint32_t index;
 };
 
 /** Per-cache bypass verdicts for one access (bit set => skip probe). */

@@ -74,6 +74,8 @@ class CycleOooCore
     /** Completion cycles of recent instructions, by seq (ring). */
     std::vector<Cycles> complete_ring_;
     static constexpr std::uint64_t dep_horizon = 1024;
+    static_assert(dep_horizon > max_dep_distance,
+                  "the look-back ring must cover every producer distance");
 };
 
 } // namespace mnm

@@ -3,11 +3,67 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 
+#include "obs/phase_profiler.hh"
+#include "trace/request_batch.hh"
 #include "util/logging.hh"
 
 namespace mnm
 {
+
+namespace
+{
+
+/** The fast path's per-chunk scratch: the chunk's instructions, its
+ *  derived request stream, and one latency per request. Kept once per
+ *  thread instead of once per core: a benchmark or a sweep holds many
+ *  cores, but a thread runs one run() at a time. */
+struct ChunkScratch
+{
+    InstructionBatch insts;
+    RequestBatch reqs;
+    Cycles latency[2 * OooCore::chunk_instructions];
+};
+
+ChunkScratch &
+chunkScratch()
+{
+    thread_local std::unique_ptr<ChunkScratch> scratch;
+    if (!scratch)
+        scratch.reset(new ChunkScratch); // default-init: slots untouched
+    return *scratch;
+}
+
+/** The access engine's sink for the timing core: each request's
+ *  latency, placement costs included, into its slot; each walk's
+ *  decisions into the core's ledger. memAccess() on the same access,
+ *  term for term. */
+struct LatencySink
+{
+    Cycles *latency;
+    MnmUnit *mnm;
+    DecisionMatrix &coverage;
+
+    __attribute__((always_inline)) void
+    hitL1(std::size_t k, CacheId, Cycles hit_latency)
+    {
+        latency[k] = hit_latency;
+    }
+
+    __attribute__((always_inline)) void
+    walked(std::size_t k, const AccessResult &access)
+    {
+        Cycles total = access.latency;
+        if (mnm) {
+            coverage.record(access);
+            total += mnm->applyPlacementCosts(access);
+        }
+        latency[k] = total;
+    }
+};
+
+} // anonymous namespace
 
 CpuParams
 CpuParams::fourWay()
@@ -37,7 +93,8 @@ CpuParams::eightWay()
 
 OooCore::OooCore(const CpuParams &params, CacheHierarchy &hierarchy,
                  MnmUnit *mnm)
-    : params_(params), hierarchy_(hierarchy), mnm_(mnm)
+    : params_(params), hierarchy_(hierarchy), mnm_(mnm),
+      engine_(hierarchy, mnm)
 {
     if (params_.fetch_width == 0 || params_.issue_width == 0 ||
         params_.commit_width == 0) {
@@ -64,15 +121,29 @@ OooCore::memAccess(AccessType type, Addr addr)
     return latency;
 }
 
+void
+OooCore::setReferenceKernel(bool on)
+{
+    reference_kernel_ = on;
+    if (mnm_)
+        mnm_->setReferenceDispatch(on);
+}
+
 CpuRunStats
 OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 {
+    // Root phase: self time is the timing recurrences (and, on the
+    // reference path, the single-step generation and walks).
+    PhaseScope prof_run(Phase::Run);
+
     CpuRunStats stats;
     stats.instructions = count;
 
-    // Dependence look-back ring: must cover the largest producer
-    // distance the generators emit (<= 512).
+    // Dependence look-back ring: must cover every producer distance a
+    // valid stream carries (trace/instruction.hh).
     constexpr std::uint64_t dep_horizon = 1024;
+    static_assert(dep_horizon > max_dep_distance,
+                  "the look-back ring must cover every producer distance");
     std::vector<double> complete_ring(dep_horizon, 0.0);
     std::vector<double> commit_ring(params_.window_size, 0.0);
     std::vector<double> lsq_ring(params_.lsq_size, 0.0);
@@ -95,10 +166,12 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     Addr cur_fetch_line = invalid_addr;
     std::uint64_t mem_ops = 0;
 
-    Instruction inst;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        workload.next(inst);
-
+    // One instruction through the recurrences. @p mem_latency(type,
+    // addr) yields the latency of the instruction's next memory
+    // request, placement costs included; the requests come in program
+    // order, fetch before data.
+    std::uint64_t i = 0;
+    const auto step = [&](const Instruction &inst, auto &&mem_latency) {
         // --- fetch -------------------------------------------------
         double fetch_t = std::max(fetch_avail, fetch_stall_until);
         fetch_avail = fetch_t + fetch_step;
@@ -106,7 +179,7 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
         if (line != cur_fetch_line) {
             cur_fetch_line = line;
             ++stats.fetch_line_accesses;
-            Cycles lat = memAccess(AccessType::InstFetch, inst.pc);
+            Cycles lat = mem_latency(AccessType::InstFetch, inst.pc);
             stats.data_access_cycles += lat;
             ++stats.data_accesses;
             // The L1-hit latency is pipelined away; anything beyond it
@@ -158,7 +231,7 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
             AccessType type = inst.cls == InstClass::Load
                                   ? AccessType::Load
                                   : AccessType::Store;
-            Cycles lat = memAccess(type, inst.mem_addr);
+            Cycles lat = mem_latency(type, inst.mem_addr);
             stats.data_access_cycles += lat;
             ++stats.data_accesses;
             double mem_done = issue_t + static_cast<double>(lat);
@@ -198,6 +271,61 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
         double commit_t = std::max(complete, commit_prev + commit_step);
         commit_prev = commit_t;
         commit_ring[i % params_.window_size] = commit_t;
+        ++i;
+    };
+
+    if (reference_kernel_) {
+        // Single-step reference path: one virtual next() and one
+        // memAccess() per access, interleaved with the recurrences.
+        Instruction inst;
+        while (i < count) {
+            workload.next(inst);
+            step(inst, [&](AccessType type, Addr addr) {
+                return memAccess(type, addr);
+            });
+        }
+    } else {
+        // Two passes per chunk. The memory stream depends on the
+        // instruction stream alone, never on timing, so the engine can
+        // walk a whole chunk's requests first and the recurrences
+        // consume the latencies afterwards, in the same order. The
+        // fetch-line dedup starts cold each run(), like the
+        // recurrences' own line.
+        ChunkScratch &scratch = chunkScratch();
+        FetchDedup dedup{l1i.blockBits(), invalid_addr};
+        const bool with_prof = profActive();
+        while (i < count) {
+            {
+                PhaseScope prof(Phase::BatchGen);
+                workload.nextBatch(scratch.insts,
+                                   std::min<std::uint64_t>(
+                                       count - i, chunk_instructions));
+                scratch.reqs.clear();
+                for (const Instruction &inst : scratch.insts) {
+                    deriveInstruction(scratch.reqs, dedup, inst.pc,
+                                      inst.cls, inst.mem_addr);
+                    // The redirect after a mispredicted branch
+                    // refetches, even from the same line (the
+                    // recurrences forget their line the same way).
+                    if (inst.isBranch() && inst.mispredicted)
+                        dedup.cur_line = invalid_addr;
+                }
+            }
+            LatencySink sink{scratch.latency, mnm_, coverage_};
+            if (with_prof)
+                engine_.run<true>(scratch.reqs, sink);
+            else
+                engine_.run<false>(scratch.reqs, sink);
+            const Cycles *next_latency = scratch.latency;
+            for (const Instruction &inst : scratch.insts) {
+                step(inst, [&](AccessType, Addr) {
+                    return *next_latency++;
+                });
+            }
+            MNM_ASSERT(next_latency == scratch.latency + scratch.reqs.size,
+                       "the recurrences consumed a different request "
+                       "stream than the chunk derived");
+        }
     }
 
     stats.cycles = static_cast<Cycles>(std::ceil(commit_prev));

@@ -24,6 +24,15 @@
  * counters (an op consumes 1/width of a cycle), which keeps the model
  * O(1) per instruction while preserving the throughput ceilings that
  * determine how much of the memory latency is overlappable.
+ *
+ * The memory stream does not depend on timing: it is the program-order
+ * fetch-line + load/store stream, with the fetch line forgotten after
+ * every mispredicted branch. So run() works per chunk in two passes
+ * (DESIGN.md decision 25): the batched access engine
+ * (core/access_engine.hh) walks the chunk's whole request stream and
+ * leaves one latency per request, and the recurrences above then
+ * consume those latencies in request order. The single-step per-access
+ * path survives as the reference (setReferenceKernel).
  */
 
 #ifndef MNM_CPU_OOO_CORE_HH
@@ -34,6 +43,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "core/access_engine.hh"
 #include "core/mnm_unit.hh"
 #include "obs/confusion.hh"
 #include "trace/workload.hh"
@@ -95,6 +105,15 @@ struct CpuRunStats
 class OooCore
 {
   public:
+    /** Instructions per fast-path chunk. Smaller than a full
+     *  InstructionBatch: the request and latency slots a chunk touches
+     *  stay few (the per-thread scratch is allocated uninitialized, so
+     *  untouched slots cost no memory), and the chunk's instructions
+     *  are still in cache when the recurrences read them back after
+     *  the engine's walks. */
+    static constexpr std::size_t chunk_instructions = 1024;
+    static_assert(chunk_instructions <= InstructionBatch::capacity);
+
     /**
      * @param params    core resources
      * @param hierarchy the memory system (must outlive the core)
@@ -112,14 +131,28 @@ class OooCore
     /** Coverage accumulated across run() calls (when an MNM is set). */
     const DecisionMatrix &coverage() const { return coverage_; }
 
+    /**
+     * Route run() through single-step next() and one memAccess() per
+     * access instead of the two-pass batched path, and the MNM's
+     * verdicts and update feed through its virtual reference dispatch
+     * (like MemorySimulator::setReferenceKernel). Slow; exists so the
+     * differential tests and the CI byte-diff can prove both paths
+     * time bit-identically.
+     */
+    void setReferenceKernel(bool on);
+    bool referenceKernel() const { return reference_kernel_; }
+
   private:
-    /** Access memory via the MNM + hierarchy; returns request latency. */
+    /** Access memory via the MNM + hierarchy; returns request latency.
+     *  The reference path's one step. */
     Cycles memAccess(AccessType type, Addr addr);
 
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
+    AccessEngine engine_;
     DecisionMatrix coverage_;
+    bool reference_kernel_ = false;
 };
 
 } // namespace mnm

@@ -4,12 +4,12 @@
  *
  * The perf CI (PR 4/5) gates whole-cell instr/sec with no idea *where*
  * a regression landed. This layer answers that: PhaseScope objects
- * bracket the stages of MemorySimulator::run (batch generation,
- * L1-peek, SoA verdict kernel, update-feed walks, cold accounting) and
- * the profiler accumulates exclusive (self) time per phase -- a nested
- * scope's time is charged to the inner phase only, so "verdict" and
- * "update_feed" are directly comparable even though both run under the
- * hierarchy walk.
+ * bracket the stages of MemorySimulator::run and OooCore::run (batch
+ * generation, L1-peek, SoA verdict kernel, update-feed walks, cold
+ * accounting) and the profiler accumulates exclusive (self) time per
+ * phase -- a nested scope's time is charged to the inner phase only, so
+ * "verdict" and "update_feed" are directly comparable even though both
+ * run under the hierarchy walk.
  *
  * Design constraints, in order:
  *
@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "obs/perf_counters.hh"
 
@@ -57,11 +58,12 @@ class StatsRegistry;
  *  forked workers share with their supervisor. */
 enum class Phase : std::uint8_t
 {
-    Run,        //!< MemorySimulator::run root (self = loop overhead)
+    Run,        //!< MemorySimulator::run / OooCore::run root (self =
+                //!< loop overhead; the timing core's recurrences)
     BatchGen,   //!< workload batch generation + deadline polling
     L1Peek,     //!< fast-path L1 hit peek loop (self = peeks + control)
     Verdict,    //!< MNM verdict kernels (computeCandidates/computeBypass)
-    HierWalk,   //!< cache hierarchy walk per access (performAccess)
+    HierWalk,   //!< cache hierarchy walk per access (AccessEngine)
     UpdateFeed, //!< MnmUnit on{Placement,Replacement,Flush} walks
     Cold,       //!< post-run cold accounting (energy fold, drains)
     FeedDrain,  //!< batched event-ring drain through update kernels
@@ -142,6 +144,21 @@ class PhaseScope
     void leave();
     bool entered_ = false;
 };
+
+/** The profiling-off stand-in for PhaseScope: compiles to nothing, so
+ *  the with_prof=false instantiations of the hot paths carry no
+ *  profiler code at all -- not even the profActive() load. */
+struct NoPhaseScope
+{
+    explicit NoPhaseScope(Phase) {}
+};
+
+/** PhaseScope or nothing, selected by a hot-path template flag. Callers
+ *  pick the instantiation once per run/batch window (the mode cannot
+ *  change mid-process). */
+template <bool with_prof>
+using ProfScope =
+    std::conditional_t<with_prof, PhaseScope, NoPhaseScope>;
 
 /**
  * Parse MNM_PROF / MNM_PROF_FOLDED and arm the profiler (first call

@@ -136,6 +136,16 @@ ExperimentOptions::shortName(const std::string &app)
     return dot == std::string::npos ? app : app.substr(dot + 1);
 }
 
+bool
+referenceKernelFromEnv()
+{
+    static const bool reference_kernel = [] {
+        const char *env = std::getenv("MNM_REFERENCE_KERNEL");
+        return env && parseEnvBool("MNM_REFERENCE_KERNEL", env);
+    }();
+    return reference_kernel;
+}
+
 MemSimResult
 runFunctional(const HierarchyParams &hierarchy,
               const std::optional<MnmSpec> &mnm, const std::string &app,
@@ -145,11 +155,7 @@ runFunctional(const HierarchyParams &hierarchy,
     // CI escape hatch: run every cell through the single-step virtual
     // reference kernel so stdout can be byte-diffed against the
     // batched verdict-plan path.
-    static const bool reference_kernel = [] {
-        const char *env = std::getenv("MNM_REFERENCE_KERNEL");
-        return env && parseEnvBool("MNM_REFERENCE_KERNEL", env);
-    }();
-    if (reference_kernel)
+    if (referenceKernelFromEnv())
         sim.setReferenceKernel(true);
     // Same escape hatch for the update side: drive the MNM feed through
     // the per-event virtual listeners instead of the batched event ring

@@ -48,9 +48,10 @@
  *                     with segv, abort, exit:<code>, or hang raises
  *                     the process-fatal failures only MNM_WORKERS
  *                     contains (core/fault_inject.hh)
- *   MNM_REFERENCE_KERNEL  set to 1 to run functional cells through
- *                     the single-step virtual reference kernel (CI
- *                     byte-diffs it against the batched default)
+ *   MNM_REFERENCE_KERNEL  set to 1 to run functional cells and the
+ *                     timing benches' OooCore runs through their
+ *                     single-step virtual reference paths (CI
+ *                     byte-diffs them against the batched default)
  *   MNM_REFERENCE_FEED  set to 1 to drive the MNM update feed through
  *                     the per-event virtual listeners instead of the
  *                     batched event ring + update kernels (CI
@@ -133,6 +134,12 @@ struct ExperimentOptions
 unsigned long long parseEnvU64(const char *name, const char *env,
                                unsigned long long min,
                                unsigned long long max);
+
+/** MNM_REFERENCE_KERNEL, parsed once per process: true for 1, false
+ *  for 0 or unset, fatal otherwise. runFunctional() and the timing
+ *  benches (OooCore::setReferenceKernel) switch to their single-step
+ *  reference paths on it. */
+bool referenceKernelFromEnv();
 
 /**
  * Run one workload through a fresh functional simulator: a warm-up

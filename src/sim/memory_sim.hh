@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "core/access_engine.hh"
 #include "core/mnm_unit.hh"
 #include "obs/confusion.hh"
 #include "power/sram_model.hh"
@@ -171,73 +172,59 @@ class MemorySimulator
         std::uint64_t wb_forwarded = 0; //!< writeback probed and passed
     };
 
-    /** Post-walk accounting shared by performAccess() and the lane
-     *  queue's descendLanes consume callback: decisions,
-     *  latency/energy-event counts -- everything an access adds to the
-     *  result once its AccessResult exists. Pure sums over the record,
-     *  so invocation order across accesses cannot change any total.
-     *  Force-inlined: it was part of the performAccess template body
-     *  before the lane queue split it out, and every call site is on
-     *  the per-access hot path. */
-    __attribute__((always_inline)) void
-    accountAccess(const AccessResult &access, MemSimResult &result);
+    /** The access engine's sink (core/access_engine.hh): folds each
+     *  request's outcome into one run() window's result. Pure sums
+     *  over the record, so the lane queue's reordering cannot change
+     *  any total. Force-inlined: every call site is on the per-access
+     *  hot path. */
+    struct Accounting
+    {
+        MemorySimulator &sim;
+        MemSimResult &result;
 
-    /** One request through MNM + hierarchy with full accounting: the
-     *  reference engine's step and the fast path's per-request loop.
-     *  Templated on profiling like the batch path: run() selects the
-     *  instantiation once per window, so with MNM_PROF off it carries
-     *  zero profiler code per access. */
-    template <bool with_prof>
-    void request(AccessType type, Addr addr, MemSimResult &result);
+        /** An L1 hit completed by the engine's L1 peek: the walk on an
+         *  L1 hit, term for term. */
+        __attribute__((always_inline)) void
+        hitL1(std::size_t, CacheId l1, Cycles latency)
+        {
+            ++result.requests;
+            result.total_access_cycles += latency;
+            ++sim.event_counts_[l1].probe_hit;
+        }
 
-    /** The hierarchy walk and accounting behind request(), taking the
-     *  verdict as input (the batch path precomputes verdicts). The
-     *  with_prof instantiation brackets the walk in a HierWalk phase
-     *  scope; the other compiles with zero profiler code -- not even
-     *  the profActive() load -- because a per-access check is what the
-     *  MNM_PROF-off <2% overhead budget cannot afford. Callers select
-     *  an instantiation once per run/batch window (the mode cannot
-     *  change mid-process). With below_l1 the caller already probed
-     *  level 1 itself and saw a miss (the batch path's L1 fast path),
-     *  so the walk resumes below it via accessBelowL1(). */
-    template <bool with_prof, bool below_l1 = false>
-    void performAccess(AccessType type, Addr addr,
-                       const BypassMask &mask, MemSimResult &result);
-
-    /** The fast path: consume one pre-derived request batch. Guard-free
-     *  plans take the L1 peek + lane queue; no-MNM runs and guarded
-     *  plans take request() one access at a time. The request stream
-     *  arrives already derived (the generators' nextRequests() fuses
-     *  derivation into generation), so this is pure consumption.
-     *  Templated like performAccess: run() picks the instantiation
-     *  once, so the off path stays scope-free per access. */
-    template <bool with_prof>
-    void runBatchRequests(const RequestBatch &batch, const Cache &l1i,
-                          MemSimResult &result);
+        /** Decisions, latency and energy-event counts: everything an
+         *  access adds to the result once its AccessResult exists. */
+        __attribute__((always_inline)) void
+        walked(std::size_t, const AccessResult &access);
+    };
 
     /** One instruction of the reference engine: fetch-line dedup plus
      *  the data request. */
     template <bool with_prof>
     void
-    step(const Instruction &inst, const Cache &l1i, MemSimResult &result)
+    step(const Instruction &inst, const Cache &l1i, Accounting &sink)
     {
         Addr line = l1i.blockAddr(inst.pc);
         if (line != cur_fetch_line_) {
             cur_fetch_line_ = line;
-            ++result.fetch_requests;
-            request<with_prof>(AccessType::InstFetch, inst.pc, result);
+            ++sink.result.fetch_requests;
+            engine_.request<with_prof>(AccessType::InstFetch, inst.pc, 0,
+                                       sink);
         }
         if (inst.isMem()) {
-            ++result.data_requests;
-            request<with_prof>(inst.cls == InstClass::Load
-                                   ? AccessType::Load
-                                   : AccessType::Store,
-                               inst.mem_addr, result);
+            ++sink.result.data_requests;
+            engine_.request<with_prof>(inst.cls == InstClass::Load
+                                           ? AccessType::Load
+                                           : AccessType::Store,
+                                       inst.mem_addr, 0, sink);
         }
     }
 
     CacheHierarchy hierarchy_;
     std::unique_ptr<MnmUnit> mnm_;
+    /** The batched consumer both run modes share (the reference mode
+     *  uses only its per-request step). */
+    AccessEngine engine_;
     /** Per-cache probe/fill energies from the analytical model. */
     std::vector<PowerDelay> cache_power_;
     std::vector<CacheEventCounts> event_counts_;
@@ -246,11 +233,6 @@ class MemorySimulator
      *  stacks when runSweep's worker threads run many simulators). */
     std::unique_ptr<RequestBatch> req_batch_;
     bool reference_kernel_ = false;
-    /** Lane-queue pending-set conflict bitmaps, one bit per L1 set
-     *  ([0] = I-side, [1] = D-side; one shared vector when level 1 is
-     *  unified). Sized lazily by the L1-peek fast path; bits live
-     *  only between a lane's enqueue and its flush. */
-    std::vector<std::uint64_t> pending_sets_[2];
     PicoJoules mnm_energy_seen_ = 0.0; //!< consumed total at last drain
     Addr cur_fetch_line_ = invalid_addr;
 };

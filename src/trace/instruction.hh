@@ -21,6 +21,17 @@
 namespace mnm
 {
 
+/**
+ * The dependence look-back horizon: the largest producer distance
+ * (Instruction::dep1/dep2) a valid stream may carry. Both timing cores
+ * keep the completion times of the last max_dep_distance + 1
+ * instructions in a ring and static_assert that it covers this; a
+ * longer distance would alias a younger instruction's slot. The
+ * synthetic generators emit at most 512; TraceReader rejects a trace
+ * that exceeds it.
+ */
+inline constexpr std::uint16_t max_dep_distance = 1023;
+
 /** Broad operation class of a dynamic instruction. */
 enum class InstClass : std::uint8_t
 {
@@ -42,8 +53,9 @@ struct Instruction
     /**
      * Register-dependence distances: this instruction consumes the
      * results of the instructions @p dep1 and @p dep2 positions earlier
-     * in program order (0 = no dependence). Keeping distances rather
-     * than register names sidesteps renaming in the timing model.
+     * in program order (0 = no dependence; at most max_dep_distance).
+     * Keeping distances rather than register names sidesteps renaming
+     * in the timing model.
      */
     std::uint16_t dep1 = 0;
     std::uint16_t dep2 = 0;

@@ -96,7 +96,28 @@ TraceReader::TraceReader(const std::string &path)
     name_ = name_buf;
 
     RawRecord raw;
-    while (std::fread(&raw, sizeof(raw), 1, file) == 1) {
+    for (;;) {
+        const std::size_t got = std::fread(&raw, 1, sizeof(raw), file);
+        if (got == 0 && std::ferror(file)) {
+            std::fclose(file);
+            fatal("'%s': read error after record %zu", path.c_str(),
+                  trace_.size());
+        }
+        if (got == 0)
+            break;
+        if (got != sizeof(raw)) {
+            std::fclose(file);
+            fatal("'%s': truncated trace record %zu (%zu of %zu bytes)",
+                  path.c_str(), trace_.size(), got, sizeof(raw));
+        }
+        if (raw.dep1 > max_dep_distance || raw.dep2 > max_dep_distance) {
+            std::fclose(file);
+            fatal("'%s': record %zu has dependence distance %u, beyond "
+                  "the look-back horizon %u",
+                  path.c_str(), trace_.size(),
+                  static_cast<unsigned>(std::max(raw.dep1, raw.dep2)),
+                  static_cast<unsigned>(max_dep_distance));
+        }
         Instruction inst;
         inst.pc = raw.pc;
         inst.mem_addr = raw.mem_addr;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hh"
+#include "cpu/ooo_core.hh"
 #include "obs/manifest.hh"
 #include "obs/perf_counters.hh"
 #include "obs/phase_profiler.hh"
@@ -350,6 +351,36 @@ TEST(ProfTest, SimulationIsByteIdenticalUnderProfiling)
     EXPECT_EQ(off_result.memory_accesses, on_result.memory_accesses);
     EXPECT_EQ(off_result.coverage.identified(),
               on_result.coverage.identified());
+}
+
+TEST(ProfTest, TimingCoreAttributesGenerationAndThePeek)
+{
+    ProfReset guard;
+    // OooCore::run's fast path picks the access engine's with_prof
+    // instantiation, so the timing core reports the same phases as the
+    // functional simulator -- and times exactly as it does unprofiled.
+    auto timed_run = [] {
+        CacheHierarchy hierarchy(paperHierarchy(5));
+        MnmUnit mnm(makeHmnmSpec(4), hierarchy);
+        OooCore core(paperCpu(5), hierarchy, &mnm);
+        auto workload = makeSpecWorkload("181.mcf");
+        return core.run(*workload, 20000);
+    };
+    const CpuRunStats off = timed_run();
+
+    setProfModeForTest(ProfMode::Time);
+    const PhaseTotals before = threadPhaseTotals();
+    const CpuRunStats on = timed_run();
+    const PhaseTotals delta =
+        phaseTotalsDelta(before, threadPhaseTotals());
+    EXPECT_GT(delta.phase[phaseIdx(Phase::Run)].ticks, 0u);
+    EXPECT_GT(delta.phase[phaseIdx(Phase::BatchGen)].ticks, 0u);
+    EXPECT_GT(delta.phase[phaseIdx(Phase::L1Peek)].ticks, 0u);
+    EXPECT_GT(delta.phase[phaseIdx(Phase::Verdict)].ticks, 0u);
+    EXPECT_GT(delta.phase[phaseIdx(Phase::LaneDescent)].ticks, 0u);
+    EXPECT_EQ(off.cycles, on.cycles);
+    EXPECT_EQ(off.data_access_cycles, on.data_access_cycles);
+    EXPECT_EQ(off.fetch_line_accesses, on.fetch_line_accesses);
 }
 
 } // anonymous namespace

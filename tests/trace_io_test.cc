@@ -125,6 +125,48 @@ TEST(TraceIoTest, EmptyTraceRejected)
     std::remove(path.c_str());
 }
 
+TEST(TraceIoTest, DependenceBeyondTheHorizonRejected)
+{
+    // A producer distance past the timing cores' look-back ring would
+    // alias a younger instruction's completion slot: silent wrong
+    // timing, so the reader refuses it and names the file.
+    std::string path = tmpPath("deprange");
+    {
+        TraceWriter writer(path, "w");
+        Instruction inst;
+        inst.dep1 = max_dep_distance; // the last valid distance
+        writer.append(inst);
+        inst.dep1 = 0;
+        inst.dep2 = max_dep_distance + 1;
+        writer.append(inst);
+    }
+    EXPECT_EXIT(TraceReader r(path), ::testing::ExitedWithCode(1),
+                "mnm_trace_deprange.bin.*record 1 has dependence "
+                "distance 1024");
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, TruncatedRecordRejected)
+{
+    // A trailing partial record is a damaged file, not a shorter trace.
+    std::string path = tmpPath("truncated");
+    {
+        TraceWriter writer(path, "w");
+        Instruction inst;
+        writer.append(inst);
+        writer.append(inst);
+    }
+    {
+        std::FILE *f = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        std::fputs("partial", f);
+        std::fclose(f);
+    }
+    EXPECT_EXIT(TraceReader r(path), ::testing::ExitedWithCode(1),
+                "mnm_trace_truncated.bin.*truncated trace record 2");
+    std::remove(path.c_str());
+}
+
 TEST(TraceIoTest, LongWorkloadNameTruncatedSafely)
 {
     std::string path = tmpPath("longname");
