@@ -6,8 +6,8 @@
  * percentages per app plus the arithmetic mean.
  */
 
-#ifndef MNM_BENCH_COVERAGE_FIGURE_HH
-#define MNM_BENCH_COVERAGE_FIGURE_HH
+#ifndef MNM_COVERAGE_FIGURE_HH
+#define MNM_COVERAGE_FIGURE_HH
 
 #include <string>
 #include <vector>
@@ -51,4 +51,4 @@ runCoverageFigure(const std::string &title,
 
 } // namespace mnm
 
-#endif // MNM_BENCH_COVERAGE_FIGURE_HH
+#endif // MNM_COVERAGE_FIGURE_HH

@@ -16,8 +16,8 @@
  * no bytes on stdout.
  */
 
-#ifndef MNM_BENCH_HARNESS_HH
-#define MNM_BENCH_HARNESS_HH
+#ifndef MNM_HARNESS_HH
+#define MNM_HARNESS_HH
 
 #include <optional>
 #include <string>
@@ -138,4 +138,4 @@ class SweepTableBench
 
 } // namespace mnm
 
-#endif // MNM_BENCH_HARNESS_HH
+#endif // MNM_HARNESS_HH

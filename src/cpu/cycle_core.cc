@@ -11,7 +11,7 @@ namespace mnm
 CycleOooCore::CycleOooCore(const CpuParams &params,
                            CacheHierarchy &hierarchy, MnmUnit *mnm)
     : params_(params), hierarchy_(hierarchy), mnm_(mnm),
-      complete_ring_(dep_horizon, 0)
+      engine_(hierarchy, mnm), complete_ring_(dep_horizon, 0)
 {
     if (params_.fetch_width == 0 || params_.issue_width == 0 ||
         params_.commit_width == 0) {
@@ -21,23 +21,6 @@ CycleOooCore::CycleOooCore(const CpuParams &params,
         params_.mshrs == 0) {
         fatal("cycle core with zero window/LSQ/MSHR resources");
     }
-}
-
-Cycles
-CycleOooCore::memAccess(AccessType type, Addr addr, CpuRunStats &stats)
-{
-    BypassMask mask;
-    if (mnm_)
-        mask = mnm_->computeBypass(type, addr);
-    AccessResult result = hierarchy_.access(type, addr, mask);
-    Cycles latency = result.latency;
-    if (mnm_) {
-        coverage_.record(result);
-        latency += mnm_->applyPlacementCosts(result);
-    }
-    stats.data_access_cycles += latency;
-    ++stats.data_accesses;
-    return latency;
 }
 
 bool
@@ -82,6 +65,17 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
     const std::size_t fetch_buffer_cap = 4ull * params_.fetch_width +
                                          8;
 
+    // Memory order follows timing here, so every access goes through
+    // the engine one request at a time, when its stage reaches it.
+    Cycles latency = 0;
+    LatencySink sink{&latency, mnm_, coverage_};
+    const auto mem_access = [&](AccessType type, Addr addr) {
+        engine_.request<false>(type, addr, 0, sink);
+        stats.data_access_cycles += latency;
+        ++stats.data_accesses;
+        return latency;
+    };
+
     while (committed < count) {
         // --- commit -------------------------------------------------
         for (std::uint32_t n = 0; n < params_.commit_width &&
@@ -119,7 +113,7 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                     continue; // no MSHR: stall this op
                 AccessType type = entry.is_load ? AccessType::Load
                                                 : AccessType::Store;
-                Cycles lat = memAccess(type, entry.inst.mem_addr, stats);
+                Cycles lat = mem_access(type, entry.inst.mem_addr);
                 Cycles mem_done = now + lat;
                 mshr_free.push_back(mem_done);
                 // Stores retire through the store buffer; loads wait
@@ -197,8 +191,8 @@ CycleOooCore::run(WorkloadGenerator &workload, std::uint64_t count)
                 if (line != cur_fetch_line) {
                     cur_fetch_line = line;
                     ++stats.fetch_line_accesses;
-                    Cycles lat = memAccess(AccessType::InstFetch,
-                                           entry.inst.pc, stats);
+                    Cycles lat =
+                        mem_access(AccessType::InstFetch, entry.inst.pc);
                     if (lat > l1i_hit) {
                         fetch_stalled_until = std::max(
                             fetch_stalled_until,

@@ -63,12 +63,12 @@ class CycleOooCore
         bool is_store = false;
     };
 
-    Cycles memAccess(AccessType type, Addr addr, CpuRunStats &stats);
     bool depsReady(const InFlight &entry, Cycles now) const;
 
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;
+    AccessEngine engine_;
     DecisionMatrix coverage_;
 
     /** Completion cycles of recent instructions, by seq (ring). */

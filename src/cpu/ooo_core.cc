@@ -35,34 +35,6 @@ chunkScratch()
     return *scratch;
 }
 
-/** The access engine's sink for the timing core: each request's
- *  latency, placement costs included, into its slot; each walk's
- *  decisions into the core's ledger. memAccess() on the same access,
- *  term for term. */
-struct LatencySink
-{
-    Cycles *latency;
-    MnmUnit *mnm;
-    DecisionMatrix &coverage;
-
-    __attribute__((always_inline)) void
-    hitL1(std::size_t k, CacheId, Cycles hit_latency)
-    {
-        latency[k] = hit_latency;
-    }
-
-    __attribute__((always_inline)) void
-    walked(std::size_t k, const AccessResult &access)
-    {
-        Cycles total = access.latency;
-        if (mnm) {
-            coverage.record(access);
-            total += mnm->applyPlacementCosts(access);
-        }
-        latency[k] = total;
-    }
-};
-
 } // anonymous namespace
 
 CpuParams
@@ -104,21 +76,6 @@ OooCore::OooCore(const CpuParams &params, CacheHierarchy &hierarchy,
         params_.mshrs == 0) {
         fatal("core with zero window/LSQ/MSHR resources");
     }
-}
-
-Cycles
-OooCore::memAccess(AccessType type, Addr addr)
-{
-    BypassMask mask;
-    if (mnm_)
-        mask = mnm_->computeBypass(type, addr);
-    AccessResult result = hierarchy_.access(type, addr, mask);
-    Cycles latency = result.latency;
-    if (mnm_) {
-        coverage_.record(result);
-        latency += mnm_->applyPlacementCosts(result);
-    }
-    return latency;
 }
 
 void
@@ -276,12 +233,15 @@ OooCore::run(WorkloadGenerator &workload, std::uint64_t count)
 
     if (reference_kernel_) {
         // Single-step reference path: one virtual next() and one
-        // memAccess() per access, interleaved with the recurrences.
+        // engine request per access, interleaved with the recurrences.
         Instruction inst;
+        Cycles latency = 0;
+        LatencySink sink{&latency, mnm_, coverage_};
         while (i < count) {
             workload.next(inst);
             step(inst, [&](AccessType type, Addr addr) {
-                return memAccess(type, addr);
+                engine_.request<false>(type, addr, 0, sink);
+                return latency;
             });
         }
     } else {

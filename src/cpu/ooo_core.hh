@@ -101,6 +101,33 @@ struct CpuRunStats
     }
 };
 
+/** The access engine's sink for both timing cores: each request's
+ *  latency, placement costs included, into slot k of @p latency; each
+ *  walk's decisions into the core's ledger. */
+struct LatencySink
+{
+    Cycles *latency;
+    MnmUnit *mnm;
+    DecisionMatrix &coverage;
+
+    __attribute__((always_inline)) void
+    hitL1(std::size_t k, CacheId, Cycles hit_latency)
+    {
+        latency[k] = hit_latency;
+    }
+
+    __attribute__((always_inline)) void
+    walked(std::size_t k, const AccessResult &access)
+    {
+        Cycles total = access.latency;
+        if (mnm) {
+            coverage.record(access);
+            total += mnm->applyPlacementCosts(access);
+        }
+        latency[k] = total;
+    }
+};
+
 /** The out-of-order core. */
 class OooCore
 {
@@ -132,8 +159,8 @@ class OooCore
     const DecisionMatrix &coverage() const { return coverage_; }
 
     /**
-     * Route run() through single-step next() and one memAccess() per
-     * access instead of the two-pass batched path, and the MNM's
+     * Route run() through single-step next() and one engine request
+     * per access instead of the two-pass batched path, and the MNM's
      * verdicts and update feed through its virtual reference dispatch
      * (like MemorySimulator::setReferenceKernel). Slow; exists so the
      * differential tests and the CI byte-diff can prove both paths
@@ -143,10 +170,6 @@ class OooCore
     bool referenceKernel() const { return reference_kernel_; }
 
   private:
-    /** Access memory via the MNM + hierarchy; returns request latency.
-     *  The reference path's one step. */
-    Cycles memAccess(AccessType type, Addr addr);
-
     CpuParams params_;
     CacheHierarchy &hierarchy_;
     MnmUnit *mnm_;

@@ -45,6 +45,24 @@ SyntheticWorkload::SyntheticWorkload(const SyntheticParams &params)
         region_fast_.push_back(rf);
     }
     temporal_thr_ = Rng::boolThreshold(params_.temporal_reuse);
+    // Class-select thresholds: the cutoff doubles are computed with
+    // exactly the additions a per-instruction double comparison would
+    // perform, then folded to integer thresholds over the raw 53-bit
+    // uniform (Rng::boolThreshold) so the generation loop runs no
+    // int-to-double conversions. Same draws, same outcomes.
+    class_thr_.load = Rng::boolThreshold(params_.load_frac);
+    class_thr_.store =
+        Rng::boolThreshold(params_.load_frac + params_.store_frac);
+    class_thr_.branch = Rng::boolThreshold(
+        params_.load_frac + params_.store_frac + params_.branch_frac);
+    class_thr_.fp = Rng::boolThreshold(params_.fp_frac);
+    class_thr_.mispredict = Rng::boolThreshold(params_.mispredict_rate);
+    class_thr_.half = Rng::boolThreshold(0.5);
+    // The dependence-distance table, bound once: forMean() takes a
+    // process-wide lock and a map lookup, which single-step next()
+    // would otherwise pay per instruction.
+    if (params_.dep_dist_mean > 0.0)
+        dep_table_ = GeometricTable::forMean(params_.dep_dist_mean);
     if (total_weight_ <= 0.0)
         fatal("synthetic workload '%s': zero total region weight",
               params_.name.c_str());
@@ -169,26 +187,9 @@ template <bool deps_used, typename Sink>
 void
 SyntheticWorkload::generateLoop(Rng &rng, std::size_t n, Sink &&sink)
 {
-    // Class-select thresholds: the cutoff doubles are computed with
-    // exactly the additions the original per-instruction comparisons
-    // performed, then folded to integer thresholds over the raw 53-bit
-    // uniform (Rng::boolThreshold) so the loop below runs no
-    // int-to-double conversions. Same draws, same outcomes.
-    const std::uint64_t load_t = Rng::boolThreshold(params_.load_frac);
-    const std::uint64_t store_t =
-        Rng::boolThreshold(params_.load_frac + params_.store_frac);
-    const std::uint64_t branch_t = Rng::boolThreshold(
-        params_.load_frac + params_.store_frac + params_.branch_frac);
-    const std::uint64_t fp_t = Rng::boolThreshold(params_.fp_frac);
-    const std::uint64_t mispredict_t =
-        Rng::boolThreshold(params_.mispredict_rate);
-    const std::uint64_t half_t = Rng::boolThreshold(0.5);
-    const double dep_mean = params_.dep_dist_mean;
-    // Bind the dependence-distance table once instead of re-checking
-    // the memoized mean on every draw (the dwell and loop-shape draws
-    // interleave other means through nextGeometric).
-    const GeometricTable *dep_table =
-        dep_mean > 0.0 ? GeometricTable::forMean(dep_mean) : nullptr;
+    // Locals, so the sink's stores cannot force reloads through this.
+    const ClassThresholds thr = class_thr_;
+    const GeometricTable *const dep_table = dep_table_;
 
     // The pc walk advances every instruction; keep it in locals and
     // resync around the (rare) startLoop draw.
@@ -213,13 +214,13 @@ SyntheticWorkload::generateLoop(Rng &rng, std::size_t n, Sink &&sink)
         std::uint8_t exec_latency = 1;
         bool mispredicted = false;
         const std::uint64_t m = rng.next() >> 11;
-        if (m < store_t) {
-            cls = m < load_t ? InstClass::Load : InstClass::Store;
+        if (m < thr.store) {
+            cls = m < thr.load ? InstClass::Load : InstClass::Store;
             mem_addr = dataAddress(rng);
-        } else if (m < branch_t) {
+        } else if (m < thr.branch) {
             cls = InstClass::Branch;
-            mispredicted = rng.nextBoolFast(mispredict_t);
-        } else if (rng.nextBoolFast(fp_t)) {
+            mispredicted = rng.nextBoolFast(thr.mispredict);
+        } else if (rng.nextBoolFast(thr.fp)) {
             cls = InstClass::FpAlu;
             exec_latency = 4;
         } else {
@@ -242,7 +243,7 @@ SyntheticWorkload::generateLoop(Rng &rng, std::size_t n, Sink &&sink)
                 std::min<std::uint64_t>(dep_table->sample(m), 512));
         };
         const std::uint16_t dep1 = dist();
-        const std::uint16_t dep2 = rng.nextBoolFast(half_t) ? dist() : 0;
+        const std::uint16_t dep2 = rng.nextBoolFast(thr.half) ? dist() : 0;
 
         sink(pc, cls, mem_addr, dep1, dep2, exec_latency, mispredicted);
     }

@@ -149,6 +149,20 @@ class SyntheticWorkload : public WorkloadGenerator
     /** boolThreshold(temporal_reuse): integer form of the per-data-op
      *  reuse draw (see Rng::boolThreshold; same stream). */
     std::uint64_t temporal_thr_ = 0;
+    /** Integer forms of the instruction-class cutoffs (see the
+     *  constructor), fixed for the generator's lifetime. */
+    struct ClassThresholds
+    {
+        std::uint64_t load = 0;
+        std::uint64_t store = 0;   //!< load + store
+        std::uint64_t branch = 0;  //!< load + store + branch
+        std::uint64_t fp = 0;
+        std::uint64_t mispredict = 0;
+        std::uint64_t half = 0;
+    } class_thr_;
+    /** Dependence-distance table for dep_dist_mean; null when the
+     *  mean is not positive (no dependences drawn). */
+    const GeometricTable *dep_table_ = nullptr;
 
     /** Current region and remaining dwell. */
     std::size_t active_region_ = 0;

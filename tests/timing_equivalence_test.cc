@@ -3,8 +3,8 @@
  * The timing core's two-pass fast path -- batched generation and
  * derivation, the access engine's per-request latencies, then the
  * recurrences -- against its single-step reference path
- * (OooCore::setReferenceKernel: one next() and one memAccess() per
- * access, virtual MNM dispatch). The contract is *bit-identical*
+ * (OooCore::setReferenceKernel: one next() and one engine request
+ * per access, virtual MNM dispatch). The contract is *bit-identical*
  * results: every CpuRunStats field of every window, the decision
  * ledger, every cache counter, the soundness violations and the MNM's
  * consumed energy, across the preset grid (no MNM, the five
