@@ -20,7 +20,8 @@ using namespace mnm;
 namespace
 {
 
-/** Narrating listener: prints each placement/replacement. */
+/** Narrating listener: prints each placement/replacement, then hands
+ *  the batch on to the MNM. */
 class Narrator : public CacheEventListener
 {
   public:
@@ -36,7 +37,6 @@ class Narrator : public CacheEventListener
                     static_cast<unsigned long long>(
                         hierarchy_.cache(id).byteAddr(block)),
                     hierarchy_.cache(id).params().name.c_str());
-        mnm_.onPlacement(id, block);
     }
 
     void
@@ -46,7 +46,13 @@ class Narrator : public CacheEventListener
                     static_cast<unsigned long long>(
                         hierarchy_.cache(id).byteAddr(block)),
                     hierarchy_.cache(id).params().name.c_str());
-        mnm_.onReplacement(id, block);
+    }
+
+    void
+    onEventBatch(const CacheEvent *events, std::size_t n) override
+    {
+        CacheEventListener::onEventBatch(events, n);
+        mnm_.onEventBatch(events, n);
     }
 
   private:

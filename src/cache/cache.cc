@@ -169,6 +169,7 @@ Cache::fill(BlockAddr block, bool dirty, bool known_absent)
     std::size_t idx = static_cast<std::size_t>(set) * num_ways_ + way;
     FillOutcome outcome;
     outcome.inserted = true;
+    outcome.line = static_cast<std::uint32_t>(idx);
     if (state_[idx] & line_valid) {
         ++stats_.evictions;
         if (state_[idx] & line_dirty) {
@@ -211,6 +212,7 @@ Cache::invalidate(BlockAddr block)
         return outcome;
     outcome.was_present = true;
     outcome.was_dirty = (state_[idx] & line_dirty) != 0;
+    outcome.line = static_cast<std::uint32_t>(idx);
     state_[idx] = 0;
     --resident_;
     if (params_.policy == ReplPolicy::Lru) {

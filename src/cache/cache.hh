@@ -165,6 +165,9 @@ class Cache
         bool evicted_dirty = false;
         /** The victim evicted to make room, if any. */
         std::optional<BlockAddr> evicted;
+        /** Flat line index (set * ways + way) the block now occupies,
+         *  and the victim occupied; meaningful when inserted. */
+        std::uint32_t line = 0;
     };
 
     /**
@@ -233,6 +236,8 @@ class Cache
     {
         bool was_present = false;
         bool was_dirty = false;
+        /** Flat line index the dropped block occupied (when present). */
+        std::uint32_t line = 0;
     };
 
     /** Drop @p block if resident (back-invalidation support). */
@@ -255,6 +260,9 @@ class Cache
     const CacheStats &stats() const { return stats_; }
     std::uint32_t numSets() const { return num_sets_; }
     std::uint32_t numWays() const { return num_ways_; }
+    /** Line count: the bound of the flat line indices fill() and
+     *  invalidate() report. */
+    std::uint32_t numLines() const { return num_sets_ * num_ways_; }
     unsigned blockBits() const { return block_bits_; }
     std::uint64_t blocksResident() const { return resident_; }
 

@@ -190,16 +190,11 @@ CacheHierarchy::walk(AccessType type, Addr addr, const BypassMask &bypass,
             // Replacement first, then placement: matches the paper's
             // RMNM scenario ordering (Table 1) where the outgoing block
             // is reported before the incoming one lands.
-            if (batched_feed_) {
-                if (outcome.evicted)
-                    emitEvent(st.id, *outcome.evicted,
-                              CacheEventKind::Replacement);
-                emitEvent(st.id, block, CacheEventKind::Placement);
-            } else {
-                if (outcome.evicted)
-                    listener_->onReplacement(st.id, *outcome.evicted);
-                listener_->onPlacement(st.id, block);
-            }
+            if (outcome.evicted)
+                emitEvent(st.id, *outcome.evicted, outcome.line,
+                          CacheEventKind::Replacement);
+            emitEvent(st.id, block, outcome.line,
+                      CacheEventKind::Placement);
         }
         bool victim_dirty = outcome.evicted_dirty;
         if (outcome.evicted &&
@@ -239,12 +234,8 @@ CacheHierarchy::backInvalidate(std::uint32_t below_level, Addr victim,
             if (!inv.was_present)
                 continue;
             any_dirty |= inv.was_dirty;
-            if (listener_) {
-                if (batched_feed_)
-                    emitEvent(id, b, CacheEventKind::Replacement);
-                else
-                    listener_->onReplacement(id, b);
-            }
+            if (listener_)
+                emitEvent(id, b, inv.line, CacheEventKind::Replacement);
         }
     }
     return any_dirty;

@@ -21,10 +21,10 @@
  * WalkSteps carrying the per-cache probe constants, so the hot walk is
  * a tight loop over steps with the BypassMask applied as a raw skip
  * mask rather than a per-level test() call, and the fill path allocates
- * from the same plan. Placement/replacement notifications are batched
- * into a small per-access event ring drained through one
- * onEventBatch() call (see setBatchedFeed); the per-event virtual path
- * survives as the equivalence reference (MNM_REFERENCE_FEED=1).
+ * from the same plan. Every placement and replacement, back-
+ * invalidations included, is queued with the line it concerns into a
+ * small per-access event ring and delivered through one onEventBatch()
+ * call: the hierarchy has no other emission path.
  */
 
 #ifndef MNM_CACHE_HIERARCHY_HH
@@ -101,10 +101,13 @@ enum class CacheEventKind : std::uint8_t
 };
 
 /** One fill/eviction record in the batched update feed. @c block is at
- *  the granularity of cache @c cache's block size. */
+ *  the granularity of cache @c cache's block size; @c line is the flat
+ *  line index (set * ways + way) the block enters or leaves, which
+ *  per-line filter metadata is keyed by. */
 struct CacheEvent
 {
     BlockAddr block;
+    std::uint32_t line;
     CacheId cache;
     CacheEventKind kind;
 };
@@ -115,17 +118,19 @@ class CacheEventListener
   public:
     virtual ~CacheEventListener() = default;
 
-    /** @p block is at the granularity of cache @p id's block size. */
+    /** Block-only view of one event, for listeners that need no line:
+     *  the default onEventBatch() unbatches into these. @p block is at
+     *  the granularity of cache @p id's block size. */
     virtual void onPlacement(CacheId id, BlockAddr block) = 0;
     virtual void onReplacement(CacheId id, BlockAddr block) = 0;
     virtual void onFlush(CacheId id) { (void)id; }
 
     /**
-     * Batched feed: one call delivers every event of an access burst in
+     * The feed: one call delivers every event of an access burst in
      * walk order (replacement before the placement that caused it, as
-     * the paper's Table 1 scenarios require). The default unbatches
-     * into the per-event virtuals so listeners that never opted in
-     * observe identical behaviour.
+     * the paper's Table 1 scenarios require), each with its line. The
+     * default drops the lines and unbatches into the block-only
+     * virtuals.
      */
     virtual void
     onEventBatch(const CacheEvent *events, std::size_t n)
@@ -291,15 +296,6 @@ class CacheHierarchy
     }
 
     /**
-     * Deliver placement/replacement events through the per-access ring
-     * and one onEventBatch() call instead of per-event virtuals. Off by
-     * default; MnmUnit switches it on (and MNM_REFERENCE_FEED=1
-     * switches it back off for the byte-diff reference).
-     */
-    void setBatchedFeed(bool on) { batched_feed_ = on; }
-    bool batchedFeed() const { return batched_feed_; }
-
-    /**
      * Perform one access.
      *
      * @param type   request stream (selects the I- or D-path)
@@ -403,7 +399,6 @@ class CacheHierarchy
     std::vector<WalkStep> instr_plan_; //!< compiled I-stream descent
     std::vector<WalkStep> data_plan_;  //!< compiled D-stream descent
     CacheEventListener *listener_ = nullptr;
-    bool batched_feed_ = false;
     std::uint64_t memory_accesses_ = 0;
     std::uint64_t memory_writebacks_ = 0;
 
@@ -424,11 +419,12 @@ class CacheHierarchy
                       const BypassMask &bypass, bool l1_missed);
 
     void
-    emitEvent(CacheId id, BlockAddr block, CacheEventKind kind)
+    emitEvent(CacheId id, BlockAddr block, std::uint32_t line,
+              CacheEventKind kind)
     {
         if (num_events_ == event_ring_capacity)
             drainEvents();
-        event_ring_[num_events_++] = CacheEvent{block, id, kind};
+        event_ring_[num_events_++] = CacheEvent{block, line, id, kind};
     }
 
     void

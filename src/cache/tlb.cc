@@ -60,8 +60,8 @@ Tlb::translate(Addr addr, bool bypass_probe)
     Cache::FillOutcome outcome = entries_.fill(page);
     if (listener_ && outcome.inserted) {
         if (outcome.evicted)
-            listener_->onTlbReplacement(*outcome.evicted);
-        listener_->onTlbPlacement(page);
+            listener_->onTlbReplacement(*outcome.evicted, outcome.line);
+        listener_->onTlbPlacement(page, outcome.line);
     }
     return latency;
 }

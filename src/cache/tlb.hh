@@ -63,13 +63,16 @@ struct TlbStats
 class Tlb
 {
   public:
-    /** Listener for page-number placement/replacement (filter feed). */
+    /** Listener for page-number placement/replacement (filter feed).
+     *  @p line is the entry's flat index, below params().entries. */
     class Listener
     {
       public:
         virtual ~Listener() = default;
-        virtual void onTlbPlacement(std::uint64_t page) = 0;
-        virtual void onTlbReplacement(std::uint64_t page) = 0;
+        virtual void onTlbPlacement(std::uint64_t page,
+                                    std::uint32_t line) = 0;
+        virtual void onTlbReplacement(std::uint64_t page,
+                                      std::uint32_t line) = 0;
     };
 
     explicit Tlb(const TlbParams &params, std::uint64_t seed = 1);

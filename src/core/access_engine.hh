@@ -94,8 +94,8 @@ class AccessEngine
     {
         // Self time here is the hierarchy walk + the sink; the MnmUnit
         // event-ring drain fired at the end of the walk opens its own
-        // FeedDrain scope inside this one (UpdateFeed on the per-event
-        // reference path).
+        // FeedDrain scope inside this one (UpdateFeed on the reference
+        // interpreter).
         ProfScope<with_prof> prof(Phase::HierWalk);
         sink.walked(k, below_l1 ? hierarchy_.accessBelowL1(type, addr, mask)
                                 : hierarchy_.access(type, addr, mask));

@@ -9,7 +9,7 @@
 namespace mnm
 {
 
-Cmnm::Cmnm(const CmnmSpec &spec) : spec_(spec)
+Cmnm::Cmnm(const CmnmSpec &spec, std::uint32_t host_lines) : spec_(spec)
 {
     if (spec_.num_registers < 1 || spec_.num_registers > 64)
         fatal("CMNM num_registers %u out of range [1,64]",
@@ -26,6 +26,8 @@ Cmnm::Cmnm(const CmnmSpec &spec) : spec_(spec)
     counters_.assign(static_cast<std::size_t>(spec_.num_registers)
                          << spec_.table_index_bits,
                      0);
+    if (spec_.policy == CmnmMaskPolicy::Monotone)
+        line_reg_.assign(host_lines, no_reg);
 }
 
 int
@@ -136,32 +138,34 @@ Cmnm::missHot(BlockAddr block) const
 }
 
 void
-Cmnm::placeHot(BlockAddr block)
+Cmnm::placeHot(BlockAddr block, std::uint32_t line)
 {
     std::uint32_t reg = registerForPlacement(prefixOf(block));
     stickyIncrement(cellIndex(reg, block));
     if (spec_.policy == CmnmMaskPolicy::Monotone) {
-        bool fresh = false;
-        std::uint32_t &attached = placed_reg_.insert(block, fresh);
-        if (!fresh) {
-            // Double placement without replacement: warm-attach only.
+        MNM_ASSERT(line < line_reg_.size(), "CMNM line out of range");
+        std::uint8_t &attached = line_reg_[line];
+        if (attached != no_reg) {
+            // Placement into an occupied line: its old increment is
+            // never undone, which leaves the filter sound but loose.
             ++anomalies_;
         }
-        attached = reg;
+        attached = static_cast<std::uint8_t>(reg);
     }
 }
 
 void
-Cmnm::replaceHot(BlockAddr block)
+Cmnm::replaceHot(BlockAddr block, std::uint32_t line)
 {
     if (spec_.policy == CmnmMaskPolicy::Monotone) {
-        const std::uint32_t *attached = placed_reg_.find(block);
-        if (!attached) {
+        MNM_ASSERT(line < line_reg_.size(), "CMNM line out of range");
+        std::uint8_t &attached = line_reg_[line];
+        if (attached == no_reg) {
             ++anomalies_;
             return;
         }
-        stickyDecrement(cellIndex(*attached, block));
-        placed_reg_.erase(block);
+        stickyDecrement(cellIndex(attached, block));
+        attached = no_reg;
         return;
     }
     // PaperReset: decrement whichever register matches now; if the masks
@@ -182,7 +186,7 @@ Cmnm::onFlush()
     for (auto &reg : registers_)
         reg = VtagRegister();
     counters_.assign(counters_.size(), 0);
-    placed_reg_.clear();
+    line_reg_.assign(line_reg_.size(), no_reg);
 }
 
 std::string

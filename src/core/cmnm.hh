@@ -18,12 +18,12 @@
  * Mask policy (see DESIGN.md decision 4): the paper's literal behaviour
  * ("shift the masks left until a match is found, then reset the others")
  * can orphan earlier placements and emit unsound verdicts. The default
- * Monotone policy widens masks monotonically and remembers, per resident
- * block, which register its placement incremented (conceptually the
- * virtual tag is stored with the block's metadata), making the filter
- * provably sound. PaperReset implements the literal text as an ablation;
- * it reports maybeUnsound() so the MnmUnit oracle-guards its verdicts
- * and counts the violations.
+ * Monotone policy widens masks monotonically and remembers, per line of
+ * the host cache, which register the resident block's placement
+ * incremented -- the virtual tag stored with the line's metadata --
+ * making the filter provably sound. PaperReset implements the literal
+ * text as an ablation; it reports maybeUnsound() so the MnmUnit
+ * oracle-guards its verdicts and counts the violations.
  */
 
 #ifndef MNM_CORE_CMNM_HH
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/miss_filter.hh"
-#include "util/flatmap.hh"
 
 namespace mnm
 {
@@ -42,22 +41,33 @@ namespace mnm
 class Cmnm : public MissFilter
 {
   public:
-    explicit Cmnm(const CmnmSpec &spec);
+    /** @p host_lines bounds the line indices the feed will carry (the
+     *  host cache's line count). */
+    Cmnm(const CmnmSpec &spec, std::uint32_t host_lines);
 
     /** Non-virtual hot-path bodies; the verdict plan dispatches to
      *  these directly (core/verdict_plan.hh). Out of line -- the CAM
      *  walk dominates, so inlining buys nothing here -- but still a
-     *  direct call instead of a virtual one. */
+     *  direct call instead of a virtual one. @p line is the host
+     *  cache's flat line index the block enters or leaves. */
     bool missHot(BlockAddr block) const;
-    void placeHot(BlockAddr block);
-    void replaceHot(BlockAddr block);
+    void placeHot(BlockAddr block, std::uint32_t line);
+    void replaceHot(BlockAddr block, std::uint32_t line);
 
     bool definitelyMiss(BlockAddr block) const override
     {
         return missHot(block);
     }
-    void onPlacement(BlockAddr block) override { placeHot(block); }
-    void onReplacement(BlockAddr block) override { replaceHot(block); }
+    void
+    onPlacement(BlockAddr block, std::uint32_t line) override
+    {
+        placeHot(block, line);
+    }
+    void
+    onReplacement(BlockAddr block, std::uint32_t line) override
+    {
+        replaceHot(block, line);
+    }
     void onFlush() override;
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -70,7 +80,8 @@ class Cmnm : public MissFilter
     std::uint64_t anomalies() const override { return anomalies_; }
 
     /** Fault surface: every counter bit, then per register 16 low
-     *  prefix bits plus the valid bit. */
+     *  prefix bits plus the valid bit. The per-line placement record
+     *  is cache metadata, not MNM storage, so it is not exposed. */
     std::uint64_t faultBitCount() const override
     {
         return static_cast<std::uint64_t>(counters_.size()) *
@@ -179,11 +190,10 @@ class Cmnm : public MissFilter
     std::uint8_t saturation_;
     std::vector<VtagRegister> registers_;
     std::vector<std::uint8_t> counters_; //!< k * 2^m sticky counters
-    /** Monotone policy: which register each resident block incremented.
-     *  A flat open-addressing map: one insert per placement and one
-     *  find+erase per replacement land here, hot enough that node
-     *  allocation shows up in whole-pipeline profiles. */
-    FlatMap64<std::uint32_t> placed_reg_;
+    /** Monotone policy: per host-cache line, the register the resident
+     *  block's placement incremented, or no_reg for an empty line. */
+    std::vector<std::uint8_t> line_reg_;
+    static constexpr std::uint8_t no_reg = 0xff;
     std::uint64_t anomalies_ = 0;
     std::uint64_t widenings_ = 0;
 };

@@ -44,11 +44,13 @@ class MissFilter
     /** @return true iff the block is definitely NOT in the cache. */
     virtual bool definitelyMiss(BlockAddr block) const = 0;
 
-    /** A block was placed into the attached cache. */
-    virtual void onPlacement(BlockAddr block) = 0;
+    /** A block was placed into line @p line (flat set * ways + way
+     *  index) of the attached cache. */
+    virtual void onPlacement(BlockAddr block, std::uint32_t line) = 0;
 
-    /** A block was replaced (evicted) from the attached cache. */
-    virtual void onReplacement(BlockAddr block) = 0;
+    /** A block was replaced (evicted) from line @p line of the attached
+     *  cache. */
+    virtual void onReplacement(BlockAddr block, std::uint32_t line) = 0;
 
     /** The attached cache was flushed; reset all bookkeeping. */
     virtual void onFlush() = 0;
@@ -137,8 +139,11 @@ struct CmnmSpec
 /** Any one per-cache technique. */
 using FilterSpec = std::variant<SmnmSpec, TmnmSpec, CmnmSpec>;
 
-/** Instantiate the filter described by @p spec. */
-std::unique_ptr<MissFilter> makeFilter(const FilterSpec &spec);
+/** Instantiate the filter described by @p spec for a host structure
+ *  of @p host_lines lines (the bound of the line indices its feed will
+ *  carry; only the CMNM keeps per-line state). */
+std::unique_ptr<MissFilter> makeFilter(const FilterSpec &spec,
+                                       std::uint32_t host_lines);
 
 /** Canonical display name of a spec (e.g. "CMNM_8_10"). */
 std::string filterSpecName(const FilterSpec &spec);

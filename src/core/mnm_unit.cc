@@ -33,7 +33,8 @@ MnmUnit::MnmUnit(const MnmSpec &spec, CacheHierarchy &hierarchy)
             if (level < lf.min_level || level > lf.max_level)
                 continue;
             for (const FilterSpec &fs : lf.filters) {
-                pc.filters.push_back(makeFilter(fs));
+                pc.filters.push_back(
+                    makeFilter(fs, hierarchy_.cache(id).numLines()));
                 pc.any_unsound |= pc.filters.back()->maybeUnsound();
                 kernels_.push_back(
                     {filterKindOf(fs), pc.filters.back().get()});
@@ -85,9 +86,6 @@ MnmUnit::MnmUnit(const MnmSpec &spec, CacheHierarchy &hierarchy)
 
     compilePlans();
     hierarchy_.setListener(this);
-    // Batched feed by default; setReferenceFeed(true) restores the
-    // per-event virtual path (MNM_REFERENCE_FEED=1).
-    hierarchy_.setBatchedFeed(true);
 }
 
 void
@@ -349,40 +347,39 @@ MnmUnit::applyPlacementCosts(const AccessResult &result)
 }
 
 void
-MnmUnit::onPlacement(CacheId id, BlockAddr block)
+MnmUnit::onPlacement(CacheId, BlockAddr)
 {
-    PhaseScope prof(Phase::UpdateFeed);
-    PerCache &pc = per_cache_[id];
-    if (spec_.perfect)
-        return;
-    for (auto &filter : pc.filters)
-        filter->onPlacement(block);
-    ++pc.update_events;
-    if (rmnm_ && pc.rmnm_index >= 0) {
-        rmnm_->onPlacement(static_cast<std::uint32_t>(pc.rmnm_index),
-                           hierarchy_.cache(id).byteAddr(block),
-                           pc.block_bits);
-        if (!rmnm_burst_charged_) {
-            ++rmnm_burst_events_;
-            rmnm_burst_charged_ = true;
-        }
-    }
+    panic("MnmUnit::onPlacement without a line: the MNM takes its feed "
+          "through onEventBatch");
 }
 
 void
-MnmUnit::onReplacement(CacheId id, BlockAddr block)
+MnmUnit::onReplacement(CacheId, BlockAddr)
 {
-    PhaseScope prof(Phase::UpdateFeed);
-    PerCache &pc = per_cache_[id];
-    if (spec_.perfect)
-        return;
-    for (auto &filter : pc.filters)
-        filter->onReplacement(block);
+    panic("MnmUnit::onReplacement without a line: the MNM takes its "
+          "feed through onEventBatch");
+}
+
+void
+MnmUnit::applyEventReference(const CacheEvent &ev)
+{
+    PerCache &pc = per_cache_[ev.cache];
+    const bool placement = ev.kind == CacheEventKind::Placement;
+    for (auto &filter : pc.filters) {
+        if (placement)
+            filter->onPlacement(ev.block, ev.line);
+        else
+            filter->onReplacement(ev.block, ev.line);
+    }
     ++pc.update_events;
     if (rmnm_ && pc.rmnm_index >= 0) {
-        rmnm_->onReplacement(static_cast<std::uint32_t>(pc.rmnm_index),
-                             hierarchy_.cache(id).byteAddr(block),
-                             pc.block_bits);
+        const auto tracked = static_cast<std::uint32_t>(pc.rmnm_index);
+        const Addr byte_addr =
+            hierarchy_.cache(ev.cache).byteAddr(ev.block);
+        if (placement)
+            rmnm_->onPlacement(tracked, byte_addr, pc.block_bits);
+        else
+            rmnm_->onReplacement(tracked, byte_addr, pc.block_bits);
         if (!rmnm_burst_charged_) {
             ++rmnm_burst_events_;
             rmnm_burst_charged_ = true;
@@ -393,11 +390,14 @@ MnmUnit::onReplacement(CacheId id, BlockAddr block)
 void
 MnmUnit::onEventBatch(const CacheEvent *events, std::size_t n)
 {
-    if (reference_dispatch_) {
-        // MNM_REFERENCE_KERNEL routes every update through the virtual
-        // MissFilter interface; unbatch into the per-event listeners so
-        // that contract holds for the ring too.
-        CacheEventListener::onEventBatch(events, n);
+    if (reference_dispatch_ || reference_feed_) {
+        // The reference interpreter of the same ring: one virtual
+        // MissFilter call per filter per event.
+        PhaseScope prof(Phase::UpdateFeed);
+        if (spec_.perfect)
+            return;
+        for (std::size_t i = 0; i < n; ++i)
+            applyEventReference(events[i]);
         return;
     }
     PhaseScope prof(Phase::FeedDrain);
@@ -408,7 +408,7 @@ MnmUnit::onEventBatch(const CacheEvent *events, std::size_t n)
     for (std::size_t i = 0; i < n; ++i) {
         const CacheEvent &ev = events[i];
         const UpdateStep &st = steps[ev.cache];
-        updateStepApply(st, ev.kind, ev.block);
+        updateStepApply(st, ev);
         if (rmnm && st.rmnm_index >= 0) {
             const Addr byte_addr = static_cast<Addr>(ev.block)
                                    << st.block_bits;

@@ -183,9 +183,12 @@ class MnmUnit : public CacheEventListener
     Cycles applyPlacementCosts(const AccessResult &result);
 
     /** CacheEventListener interface (the bookkeeping feed). The
-     *  per-event virtuals are the reference path; the hierarchy's
-     *  batched event ring lands in onEventBatch, which drains through
-     *  the compiled per-cache update plan (core/update_plan.hh). */
+     *  hierarchy's event ring lands in onEventBatch, which drains
+     *  through the compiled per-cache update plan (core/update_plan.hh)
+     *  or, under setReferenceFeed/setReferenceDispatch, through the
+     *  virtual per-filter interpreter. The block-only virtuals panic:
+     *  the CMNM keys its placement record by line, so an event without
+     *  one cannot be applied. */
     void onPlacement(CacheId id, BlockAddr block) override;
     void onReplacement(CacheId id, BlockAddr block) override;
     void onFlush(CacheId id) override;
@@ -245,17 +248,12 @@ class MnmUnit : public CacheEventListener
     bool referenceDispatch() const { return reference_dispatch_; }
 
     /**
-     * Route the event feed through the per-event virtual listener path
-     * instead of the hierarchy's batched event ring (the
-     * MNM_REFERENCE_FEED=1 knob). Slow; exists so the batched update
-     * kernels can be byte-diffed against the original feed.
+     * Interpret the event ring through the virtual per-filter
+     * MissFilter calls instead of the compiled update plan (the
+     * MNM_REFERENCE_FEED=1 knob). Slow; exists so the update kernels
+     * can be byte-diffed against an independent interpreter.
      */
-    void
-    setReferenceFeed(bool on)
-    {
-        reference_feed_ = on;
-        hierarchy_.setBatchedFeed(!on);
-    }
+    void setReferenceFeed(bool on) { reference_feed_ = on; }
     bool referenceFeed() const { return reference_feed_; }
 
     /** Number of verdict computations performed. */
@@ -316,6 +314,9 @@ class MnmUnit : public CacheEventListener
         /** Oracle-check every "miss" verdict at this cache. */
         bool oracle_guard = false;
     };
+
+    /** Reference (virtual-dispatch) application of one event. */
+    void applyEventReference(const CacheEvent &ev);
 
     /** Reference (virtual-dispatch) verdict for one cache. */
     bool cacheVerdict(CacheId id, Addr addr) const;

@@ -11,17 +11,17 @@ namespace mnm
 {
 
 std::unique_ptr<MissFilter>
-makeFilter(const FilterSpec &spec)
+makeFilter(const FilterSpec &spec, std::uint32_t host_lines)
 {
     return std::visit(
-        [](const auto &s) -> std::unique_ptr<MissFilter> {
+        [host_lines](const auto &s) -> std::unique_ptr<MissFilter> {
             using T = std::decay_t<decltype(s)>;
             if constexpr (std::is_same_v<T, SmnmSpec>)
                 return std::make_unique<Smnm>(s);
             else if constexpr (std::is_same_v<T, TmnmSpec>)
                 return std::make_unique<Tmnm>(s);
             else
-                return std::make_unique<Cmnm>(s);
+                return std::make_unique<Cmnm>(s, host_lines);
         },
         spec);
 }
@@ -29,7 +29,7 @@ makeFilter(const FilterSpec &spec)
 std::string
 filterSpecName(const FilterSpec &spec)
 {
-    return makeFilter(spec)->name();
+    return makeFilter(spec, 0)->name();
 }
 
 MnmSpec

@@ -6,7 +6,7 @@ namespace mnm
 {
 
 TlbFilterUnit::TlbFilterUnit(const FilterSpec &spec, Tlb &tlb)
-    : filter_(makeFilter(spec)), tlb_(tlb)
+    : filter_(makeFilter(spec, tlb.params().entries)), tlb_(tlb)
 {
     SramModel sram;
     CheckerModel checker;
@@ -42,16 +42,16 @@ TlbFilterUnit::translate(Addr addr)
 }
 
 void
-TlbFilterUnit::onTlbPlacement(std::uint64_t page)
+TlbFilterUnit::onTlbPlacement(std::uint64_t page, std::uint32_t line)
 {
-    filter_->onPlacement(page);
+    filter_->onPlacement(page, line);
     energy_pj_ += filter_update_pj_;
 }
 
 void
-TlbFilterUnit::onTlbReplacement(std::uint64_t page)
+TlbFilterUnit::onTlbReplacement(std::uint64_t page, std::uint32_t line)
 {
-    filter_->onReplacement(page);
+    filter_->onReplacement(page, line);
     energy_pj_ += filter_update_pj_;
 }
 

@@ -42,8 +42,8 @@ class TlbFilterUnit : public Tlb::Listener
     Cycles translate(Addr addr);
 
     /** Tlb::Listener (the bookkeeping feed). */
-    void onTlbPlacement(std::uint64_t page) override;
-    void onTlbReplacement(std::uint64_t page) override;
+    void onTlbPlacement(std::uint64_t page, std::uint32_t line) override;
+    void onTlbReplacement(std::uint64_t page, std::uint32_t line) override;
 
     /** Probes skipped / total misses seen (the coverage metric). */
     double coverage() const;

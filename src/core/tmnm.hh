@@ -79,8 +79,17 @@ class Tmnm : public MissFilter
     {
         return missHot(block);
     }
-    void onPlacement(BlockAddr block) override { placeHot(block); }
-    void onReplacement(BlockAddr block) override { replaceHot(block); }
+    /** The TMNM keys nothing by line: the line is ignored. */
+    void
+    onPlacement(BlockAddr block, std::uint32_t) override
+    {
+        placeHot(block);
+    }
+    void
+    onReplacement(BlockAddr block, std::uint32_t) override
+    {
+        replaceHot(block);
+    }
     void onFlush() override;
     std::string name() const override;
     std::uint64_t storageBits() const override;

@@ -3,9 +3,10 @@
  * The devirtualized update-side mirror of the verdict plan
  * (core/verdict_plan.hh).
  *
- * The hierarchy batches its fill/eviction reports into a per-access
- * event ring (cache/hierarchy.hh) and delivers them through one
- * onEventBatch() call. MnmUnit drains that ring through an array of
+ * The hierarchy batches its fill/eviction reports, each with the line
+ * it concerns, into a per-access event ring (cache/hierarchy.hh) and
+ * delivers them through one onEventBatch() call. MnmUnit drains that
+ * ring through an array of
  * per-cache UpdateSteps compiled at construction: each step carries the
  * cache's contiguous FilterKernel slice plus the RMNM routing constants,
  * so applying an event is a switch-dispatched loop over non-virtual
@@ -15,10 +16,10 @@
  * The kernels write the live filter tables in place; the SoA verdict
  * programs borrow those same tables (core/soa_state.hh), so every
  * mutation the drain applies is visible to the next verdict batch by
- * construction. The virtual CacheEventListener path over the same
- * filter objects survives as the equivalence reference
- * (MNM_REFERENCE_FEED=1), which kernel_equivalence_test holds to
- * bit-identical results.
+ * construction. A second interpreter of the same ring, through the
+ * virtual MissFilter interface of the same filter objects, is the
+ * equivalence reference (MNM_REFERENCE_FEED=1), which
+ * kernel_equivalence_test holds to bit-identical results.
  */
 
 #ifndef MNM_CORE_UPDATE_PLAN_HH
@@ -53,17 +54,16 @@ struct UpdateStep
  *  it. RMNM routing and energy bursts stay with the caller (they need
  *  MnmUnit state). */
 inline void
-updateStepApply(const UpdateStep &st, CacheEventKind kind,
-                BlockAddr block)
+updateStepApply(const UpdateStep &st, const CacheEvent &ev)
 {
     const FilterKernel *k = st.kernels;
     const FilterKernel *end = k + st.kernel_count;
-    if (kind == CacheEventKind::Placement) {
+    if (ev.kind == CacheEventKind::Placement) {
         for (; k != end; ++k)
-            kernelOnPlacement(*k, block);
+            kernelOnPlacement(*k, ev.block, ev.line);
     } else {
         for (; k != end; ++k)
-            kernelOnReplacement(*k, block);
+            kernelOnReplacement(*k, ev.block, ev.line);
     }
     ++*st.update_events;
 }

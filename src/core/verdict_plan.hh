@@ -11,8 +11,8 @@
  * loops; verdicts run through the SoA program lowered from the same
  * records (core/soa_state.hh). The virtual MissFilter interface on the
  * very same objects remains the reference and cold-path surface (the
- * per-event feed, naming, power, storage bits, anomaly counts, fault
- * injection, tests).
+ * reference feed interpreter, naming, power, storage bits, anomaly
+ * counts, fault injection, tests).
  *
  * Both dispatch styles run the same member-function bodies, so the
  * plan is behaviourally identical to the virtual walk -- a property
@@ -61,9 +61,11 @@ struct FilterKernel
     MissFilter *filter;
 };
 
-/** Hot-path event feed: @p block was placed into the attached cache. */
+/** Hot-path event feed: @p block was placed into line @p line of the
+ *  attached cache. */
 inline void
-kernelOnPlacement(const FilterKernel &k, BlockAddr block)
+kernelOnPlacement(const FilterKernel &k, BlockAddr block,
+                  std::uint32_t line)
 {
     switch (k.kind) {
       case FilterKind::Smnm:
@@ -73,15 +75,17 @@ kernelOnPlacement(const FilterKernel &k, BlockAddr block)
         static_cast<Tmnm *>(k.filter)->placeHot(block);
         return;
       case FilterKind::Cmnm:
-        static_cast<Cmnm *>(k.filter)->placeHot(block);
+        static_cast<Cmnm *>(k.filter)->placeHot(block, line);
         return;
     }
     panic("unreachable filter kind");
 }
 
-/** Hot-path event feed: @p block was replaced (evicted). */
+/** Hot-path event feed: @p block was replaced (evicted) from line
+ *  @p line. */
 inline void
-kernelOnReplacement(const FilterKernel &k, BlockAddr block)
+kernelOnReplacement(const FilterKernel &k, BlockAddr block,
+                    std::uint32_t line)
 {
     switch (k.kind) {
       case FilterKind::Smnm:
@@ -91,7 +95,7 @@ kernelOnReplacement(const FilterKernel &k, BlockAddr block)
         static_cast<Tmnm *>(k.filter)->replaceHot(block);
         return;
       case FilterKind::Cmnm:
-        static_cast<Cmnm *>(k.filter)->replaceHot(block);
+        static_cast<Cmnm *>(k.filter)->replaceHot(block, line);
         return;
     }
     panic("unreachable filter kind");

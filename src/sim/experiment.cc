@@ -157,9 +157,9 @@ runFunctional(const HierarchyParams &hierarchy,
     // batched verdict-plan path.
     if (referenceKernelFromEnv())
         sim.setReferenceKernel(true);
-    // Same escape hatch for the update side: drive the MNM feed through
-    // the per-event virtual listeners instead of the batched event ring
-    // so stdout can be byte-diffed against the update-kernel path.
+    // Same escape hatch for the update side: interpret the MNM's event
+    // ring through the virtual per-filter calls so stdout can be
+    // byte-diffed against the update-kernel path.
     static const bool reference_feed = [] {
         const char *env = std::getenv("MNM_REFERENCE_FEED");
         return env && parseEnvBool("MNM_REFERENCE_FEED", env);

@@ -52,10 +52,10 @@
  *                     timing benches' OooCore runs through their
  *                     single-step virtual reference paths (CI
  *                     byte-diffs them against the batched default)
- *   MNM_REFERENCE_FEED  set to 1 to drive the MNM update feed through
- *                     the per-event virtual listeners instead of the
- *                     batched event ring + update kernels (CI
- *                     byte-diffs it against the batched default)
+ *   MNM_REFERENCE_FEED  set to 1 to interpret the MNM's event ring
+ *                     through the virtual per-filter calls instead of
+ *                     the compiled update kernels (CI byte-diffs it
+ *                     against the default)
  *   MNM_PROF          off (default) | time | hw: per-phase attribution
  *                     of the simulator's own cost (batch generation,
  *                     L1-peek, verdict kernel, hierarchy walk, update
@@ -149,8 +149,8 @@ bool referenceKernelFromEnv();
  * MNM_REFERENCE_KERNEL=1 forces the single-step virtual reference
  * kernel instead of the batched verdict-plan one -- CI byte-diffs a
  * bench's stdout across the two to prove the hot path changes nothing.
- * MNM_REFERENCE_FEED=1 does the same for the update side: per-event
- * virtual listeners instead of the batched event ring.
+ * MNM_REFERENCE_FEED=1 does the same for the update side: the event
+ * ring's virtual per-filter interpreter instead of the update kernels.
  */
 MemSimResult runFunctional(const HierarchyParams &hierarchy,
                            const std::optional<MnmSpec> &mnm,

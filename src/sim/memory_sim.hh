@@ -148,11 +148,11 @@ class MemorySimulator
     bool referenceKernel() const { return reference_kernel_; }
 
     /**
-     * Route the MNM's update feed through the per-event virtual
-     * listener path instead of the batched event ring + update kernels
-     * (the MNM_REFERENCE_FEED=1 knob). Slow; exists so
-     * kernel_equivalence_test and the CI byte-diff can prove both feeds
-     * produce bit-identical results. No-op without an MNM.
+     * Interpret the MNM's event ring through the virtual per-filter
+     * calls instead of the compiled update kernels (the
+     * MNM_REFERENCE_FEED=1 knob). Slow; exists so
+     * kernel_equivalence_test and the CI byte-diff can prove both
+     * interpreters produce bit-identical results. No-op without an MNM.
      */
     void setReferenceFeed(bool on);
     bool referenceFeed() const { return mnm_ && mnm_->referenceFeed(); }

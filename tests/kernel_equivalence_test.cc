@@ -8,8 +8,8 @@
  * grid: the five techniques plus the perfect MNM and the bare
  * hierarchy, under all three placements, and with faults injected
  * mid-run through every kernel. The update side gets the same
- * treatment: the batched event ring drained through devirtualized
- * update kernels against the per-event virtual listener feed
+ * treatment: the event ring drained through devirtualized update
+ * kernels against its virtual per-filter interpreter
  * (setReferenceFeed), faulted runs included.
  */
 
@@ -147,9 +147,9 @@ TEST_P(KernelEquivalenceTest, BatchedMatchesReferenceOnPresetMachine)
 
 TEST_P(KernelEquivalenceTest, BatchedFeedMatchesVirtualFeedOnPresetMachine)
 {
-    // The update-side axis: the batched event ring drained through the
-    // devirtualized update kernels (default) against the per-event
-    // virtual listener feed (MNM_REFERENCE_FEED=1). Both sides run the
+    // The update-side axis: the event ring drained through the
+    // devirtualized update kernels (default) against its virtual
+    // per-filter interpreter (MNM_REFERENCE_FEED=1). Both sides run the
     // batched verdict kernel, so any divergence is the feed's fault.
     const KernelCase &c = GetParam();
     auto run_case = [&](bool reference_feed) {
@@ -208,7 +208,7 @@ TEST(KernelEquivalenceTest, FaultedFiltersMatchVirtualFeedExactly)
 {
     // The feed axis under corrupted filter state: deterministic bit
     // flips land between two windows, and the ring-drained update
-    // kernels must rebuild exactly the state the virtual per-event
+    // kernels must rebuild exactly the state the virtual per-filter
     // feed rebuilds -- oracle-checked violations included.
     for (const char *name : {"RMNM_512_2", "SMNM_13x2", "TMNM_12x3",
                              "CMNM_8_10", "HMNM4"}) {

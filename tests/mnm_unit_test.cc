@@ -147,7 +147,7 @@ TEST(MnmUnitTest, UpdatesAccrueEnergyViaListener)
     CacheHierarchy h(threeLevelParams());
     MnmUnit mnm(makeUniformSpec(TmnmSpec{10, 1, 3}), h);
     PicoJoules before = mnm.consumedEnergyPj();
-    h.access(AccessType::Load, 0x1234); // fills -> onPlacement events
+    h.access(AccessType::Load, 0x1234); // fills -> placement events
     EXPECT_GT(mnm.consumedEnergyPj(), before);
 }
 

@@ -282,7 +282,7 @@ TEST(ProfTest, SweepAttributesPerCellAndNothingOnStdout)
     StatsRegistry &stats = globalStats();
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.verdict.cycles"));
     // Batched feed: the update side drains under feed_drain (the
-    // per-event update_feed phase only runs on the reference paths).
+    // update_feed phase only runs on the reference interpreter).
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.feed_drain.share"));
     EXPECT_TRUE(stats.has("prof.cell.HMNM2.gzip.hier_walk.ticks"));
     // The pool flushed its worker profile into the global aggregate.

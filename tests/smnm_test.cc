@@ -17,6 +17,9 @@ namespace mnm
 namespace
 {
 
+/** The SMNM keys nothing by line; any index serves. */
+constexpr std::uint32_t any_line = 0;
+
 TEST(SmnmTest, SumHashMatchesPaperFigure5)
 {
     // sum += i*i for each set bit i (1-based over the window).
@@ -57,7 +60,7 @@ TEST(SmnmTest, ColdFilterSaysMissForEverything)
 TEST(SmnmTest, PlacementMakesHashMaybe)
 {
     Smnm smnm({10, 1, SmnmUpdateMode::Counting});
-    smnm.onPlacement(0x123);
+    smnm.onPlacement(0x123, any_line);
     EXPECT_FALSE(smnm.definitelyMiss(0x123));
     // Any block with the same sum is also "maybe" (the aliasing that
     // limits SMNM coverage).
@@ -67,15 +70,15 @@ TEST(SmnmTest, PlacementMakesHashMaybe)
 TEST(SmnmTest, DistinctSumStillMiss)
 {
     Smnm smnm({10, 1, SmnmUpdateMode::Counting});
-    smnm.onPlacement(0b1); // sum 1
+    smnm.onPlacement(0b1, any_line); // sum 1
     EXPECT_TRUE(smnm.definitelyMiss(0b10)); // sum 4
 }
 
 TEST(SmnmTest, CountingModeReplacementRestoresMiss)
 {
     Smnm smnm({10, 1, SmnmUpdateMode::Counting});
-    smnm.onPlacement(0x123);
-    smnm.onReplacement(0x123);
+    smnm.onPlacement(0x123, any_line);
+    smnm.onReplacement(0x123, any_line);
     EXPECT_TRUE(smnm.definitelyMiss(0x123));
 }
 
@@ -89,19 +92,19 @@ TEST(SmnmTest, CountingModeTracksMultiplicity)
     // the same address placed twice (two caches' worth is not modelled,
     // so use alias pair {3}=9+{1,2}? 1+4=5 vs ... just verify the count
     // with the same sum value via two placements of one address).
-    smnm.onPlacement(0x9);
-    smnm.onPlacement(0x9);
-    smnm.onReplacement(0x9);
+    smnm.onPlacement(0x9, any_line);
+    smnm.onPlacement(0x9, any_line);
+    smnm.onReplacement(0x9, any_line);
     EXPECT_FALSE(smnm.definitelyMiss(0x9)); // one copy still tracked
-    smnm.onReplacement(0x9);
+    smnm.onReplacement(0x9, any_line);
     EXPECT_TRUE(smnm.definitelyMiss(0x9));
 }
 
 TEST(SmnmTest, SetOnlyModeNeverClears)
 {
     Smnm smnm({10, 1, SmnmUpdateMode::SetOnly});
-    smnm.onPlacement(0x123);
-    smnm.onReplacement(0x123);
+    smnm.onPlacement(0x123, any_line);
+    smnm.onReplacement(0x123, any_line);
     EXPECT_FALSE(smnm.definitelyMiss(0x123)); // stays "maybe"
     smnm.onFlush();
     EXPECT_TRUE(smnm.definitelyMiss(0x123)); // flush resets the flops
@@ -115,8 +118,8 @@ TEST(SmnmTest, MultiCheckerCatchesMore)
     Smnm two({6, 2, SmnmUpdateMode::Counting});
     BlockAddr placed = 0x001;
     BlockAddr probe = 0x001 | (0x3full << 6); // same low bits, high differ
-    one.onPlacement(placed);
-    two.onPlacement(placed);
+    one.onPlacement(placed, any_line);
+    two.onPlacement(placed, any_line);
     EXPECT_FALSE(one.definitelyMiss(probe)); // single checker fooled
     EXPECT_TRUE(two.definitelyMiss(probe));  // second checker says no
 }
@@ -124,7 +127,7 @@ TEST(SmnmTest, MultiCheckerCatchesMore)
 TEST(SmnmTest, FlushResetsCountingState)
 {
     Smnm smnm({10, 2, SmnmUpdateMode::Counting});
-    smnm.onPlacement(0x42);
+    smnm.onPlacement(0x42, any_line);
     smnm.onFlush();
     EXPECT_TRUE(smnm.definitelyMiss(0x42));
 }
@@ -132,7 +135,7 @@ TEST(SmnmTest, FlushResetsCountingState)
 TEST(SmnmTest, ReplacementWithoutPlacementCountsAnomaly)
 {
     Smnm smnm({10, 1, SmnmUpdateMode::Counting});
-    smnm.onReplacement(0x42);
+    smnm.onReplacement(0x42, any_line);
     EXPECT_EQ(smnm.anomalies(), 1u);
     EXPECT_TRUE(smnm.definitelyMiss(0x42)); // clamped, still sound-ish
 }
@@ -171,10 +174,10 @@ TEST(SmnmTest, SoundAgainstShadowSetUnderRandomChurn)
                 auto it = shadow.lower_bound(block);
                 if (it == shadow.end())
                     it = shadow.begin();
-                smnm.onReplacement(*it);
+                smnm.onReplacement(*it, any_line);
                 shadow.erase(it);
             } else if (!shadow.count(block)) {
-                smnm.onPlacement(block);
+                smnm.onPlacement(block, any_line);
                 shadow.insert(block);
             }
             BlockAddr probe = rng.nextBelow(1 << 18);

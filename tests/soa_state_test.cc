@@ -147,11 +147,11 @@ TEST(SoaStateTest, MirrorCoherenceOnSeventeenLevelTower)
     runMirrorCoherence(sim, probeStream("181.mcf", 1500));
 }
 
-/** Two simulators under identical traffic, one on the batched event
- *  ring + devirtualized update kernels, one on the per-event virtual
- *  feed: after every churn/flush stage the borrowed tables must hold
- *  bit-identical state, proven by verdict equality over the probe
- *  stream. */
+/** Two simulators under identical traffic, one draining the event
+ *  ring through the devirtualized update kernels, one through the
+ *  virtual per-filter interpreter: after every churn/flush stage the
+ *  borrowed tables must hold bit-identical state, proven by verdict
+ *  equality over the probe stream. */
 void
 runFeedCoherence(const HierarchyParams &hier, const MnmSpec &spec,
                  const char *app, std::uint64_t probe_instructions)
@@ -183,7 +183,7 @@ runFeedCoherence(const HierarchyParams &hier, const MnmSpec &spec,
     reference.run(*wr, 10000);
     expect_same_state("churned");
 
-    // Flush stays a per-event virtual walk on both sides (the ring is
+    // Flush is a per-cache onFlush call on both sides (the ring is
     // always empty between accesses); the rebuilt state must agree.
     batched.hierarchy().flushAll();
     reference.hierarchy().flushAll();
@@ -218,7 +218,7 @@ TEST(SoaStateTest, CmnmBorrowedTablesAreStableAndLive)
     // The SoA program captures Cmnm's register-file and counter-table
     // pointers once at plan-compile time; the mirror is only sound if
     // those pointers survive every mutation, including full flushes.
-    Cmnm cmnm(CmnmSpec{4, 6, 3, CmnmMaskPolicy::Monotone});
+    Cmnm cmnm(CmnmSpec{4, 6, 3, CmnmMaskPolicy::Monotone}, 1000);
     const Cmnm::VtagRegister *regs = cmnm.registerTable();
     const std::uint8_t *counters = cmnm.counterTable();
 
@@ -236,18 +236,20 @@ TEST(SoaStateTest, CmnmBorrowedTablesAreStableAndLive)
             ASSERT_EQ(soaOpMiss(op, block), cmnm.missHot(block)) << when;
     };
 
+    // Block b sits in line b / 3 (then b / 5 after the flush).
     expect_mirrored("cold");
     for (BlockAddr block = 0; block < 3000; block += 3)
-        cmnm.placeHot(block);
+        cmnm.placeHot(block, static_cast<std::uint32_t>(block / 3));
     expect_mirrored("placed");
     for (BlockAddr block = 0; block < 3000; block += 9)
-        cmnm.replaceHot(block);
+        cmnm.replaceHot(block, static_cast<std::uint32_t>(block / 3));
     expect_mirrored("replaced");
     cmnm.onFlush();
     expect_mirrored("flushed");
     for (BlockAddr block = 1; block < 1000; block += 5)
-        cmnm.placeHot(block);
+        cmnm.placeHot(block, static_cast<std::uint32_t>(block / 5));
     expect_mirrored("re-placed");
+    EXPECT_EQ(cmnm.anomalies(), 0u);
 }
 
 } // anonymous namespace

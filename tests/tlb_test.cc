@@ -56,18 +56,24 @@ TEST(TlbTest, CapacityEviction)
 
 TEST(TlbTest, ListenerSeesInstallAndEvict)
 {
+    struct Event
+    {
+        bool placement;
+        std::uint64_t page;
+        std::uint32_t line;
+    };
     struct Recorder : Tlb::Listener
     {
-        std::vector<std::pair<bool, std::uint64_t>> events;
+        std::vector<Event> events;
         void
-        onTlbPlacement(std::uint64_t page) override
+        onTlbPlacement(std::uint64_t page, std::uint32_t line) override
         {
-            events.push_back({true, page});
+            events.push_back({true, page, line});
         }
         void
-        onTlbReplacement(std::uint64_t page) override
+        onTlbReplacement(std::uint64_t page, std::uint32_t line) override
         {
-            events.push_back({false, page});
+            events.push_back({false, page, line});
         }
     } recorder;
 
@@ -76,9 +82,14 @@ TEST(TlbTest, ListenerSeesInstallAndEvict)
     for (Addr page = 0; page < 5; ++page)
         tlb.translate(page << 12);
     ASSERT_EQ(recorder.events.size(), 6u); // 5 installs + 1 evict
-    EXPECT_FALSE(recorder.events[4].first); // evict reported first
-    EXPECT_EQ(recorder.events[4].second, 0u);
-    EXPECT_TRUE(recorder.events[5].first);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(recorder.events[i].line, i); // cold fills, way order
+    EXPECT_FALSE(recorder.events[4].placement); // evict reported first
+    EXPECT_EQ(recorder.events[4].page, 0u);
+    EXPECT_TRUE(recorder.events[5].placement);
+    // The new page takes the victim's entry.
+    EXPECT_EQ(recorder.events[5].line, recorder.events[4].line);
+    EXPECT_EQ(recorder.events[4].line, recorder.events[0].line);
 }
 
 TEST(TlbTest, BypassSkipsProbeLatency)
@@ -149,6 +160,30 @@ TEST(TlbFilterTest, CoverageAndSoundnessUnderChurn)
     EXPECT_GT(filter.coverage(), 0.0);
     EXPECT_LE(filter.coverage(), 1.0);
     EXPECT_GT(filter.consumedEnergyPj(), 0.0);
+}
+
+TEST(TlbFilterTest, CmnmSoundUnderRandomPageStream)
+{
+    // The CMNM keeps its placement register per TLB entry. A
+    // set-associative TLB under a seeded page stream spanning more
+    // regions than the register file (so masks keep widening) must
+    // stay sound, with every replacement finding its entry's record.
+    TlbParams p = smallParams();
+    p.entries = 16;
+    p.associativity = 4;
+    Tlb tlb(p);
+    TlbFilterUnit filter(CmnmSpec{2, 4, 3, CmnmMaskPolicy::Monotone},
+                         tlb);
+    Rng rng(23);
+    for (int i = 0; i < 50000; ++i) {
+        // 4 regions x 64 pages: 16 distinct 4-bit-shifted prefixes.
+        Addr page = (rng.nextBelow(4) << 10) | rng.nextBelow(64);
+        filter.translate((page << 12) | rng.nextBelow(4096));
+    }
+    EXPECT_EQ(filter.soundnessViolations(), 0u);
+    EXPECT_EQ(filter.filter().anomalies(), 0u);
+    EXPECT_GT(filter.identified(), 0u);
+    EXPECT_GT(filter.unidentified(), 0u);
 }
 
 TEST(TlbFilterTest, RealWorkloadEndToEnd)

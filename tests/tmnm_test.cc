@@ -16,6 +16,9 @@ namespace mnm
 namespace
 {
 
+/** The TMNM keys nothing by line; any index serves. */
+constexpr std::uint32_t any_line = 0;
+
 TEST(TmnmTest, ColdTableSaysMiss)
 {
     Tmnm tmnm({10, 1, 3});
@@ -25,7 +28,7 @@ TEST(TmnmTest, ColdTableSaysMiss)
 TEST(TmnmTest, PlacementMakesIndexMaybe)
 {
     Tmnm tmnm({10, 1, 3});
-    tmnm.onPlacement(0x123);
+    tmnm.onPlacement(0x123, any_line);
     EXPECT_FALSE(tmnm.definitelyMiss(0x123));
     // Aliases share the low 10 bits: also "maybe".
     EXPECT_FALSE(tmnm.definitelyMiss(0x123 | (1ull << 10)));
@@ -36,8 +39,8 @@ TEST(TmnmTest, PlacementMakesIndexMaybe)
 TEST(TmnmTest, ReplacementRestoresMiss)
 {
     Tmnm tmnm({10, 1, 3});
-    tmnm.onPlacement(0x7);
-    tmnm.onReplacement(0x7);
+    tmnm.onPlacement(0x7, any_line);
+    tmnm.onReplacement(0x7, any_line);
     EXPECT_TRUE(tmnm.definitelyMiss(0x7));
 }
 
@@ -46,11 +49,11 @@ TEST(TmnmTest, CounterTracksAliases)
     Tmnm tmnm({10, 1, 3});
     BlockAddr a = 0x55;
     BlockAddr alias = 0x55 | (1ull << 10);
-    tmnm.onPlacement(a);
-    tmnm.onPlacement(alias);
-    tmnm.onReplacement(a);
+    tmnm.onPlacement(a, any_line);
+    tmnm.onPlacement(alias, any_line);
+    tmnm.onReplacement(a, any_line);
     EXPECT_FALSE(tmnm.definitelyMiss(alias)); // one mapped block remains
-    tmnm.onReplacement(alias);
+    tmnm.onReplacement(alias, any_line);
     EXPECT_TRUE(tmnm.definitelyMiss(alias));
 }
 
@@ -60,12 +63,12 @@ TEST(TmnmTest, SaturationIsSticky)
     BlockAddr base = 0x10;
     // Map 9 distinct aliases to the same index.
     for (std::uint64_t i = 0; i < 9; ++i)
-        tmnm.onPlacement(base | (i << 10));
+        tmnm.onPlacement(base | (i << 10), any_line);
     EXPECT_EQ(tmnm.saturatedCounters(), 1u);
     // Remove all 9: the counter must stay saturated ("maybe"), because
     // the count was lost at saturation.
     for (std::uint64_t i = 0; i < 9; ++i)
-        tmnm.onReplacement(base | (i << 10));
+        tmnm.onReplacement(base | (i << 10), any_line);
     EXPECT_FALSE(tmnm.definitelyMiss(base));
     EXPECT_EQ(tmnm.saturatedCounters(), 1u);
     EXPECT_EQ(tmnm.anomalies(), 0u);
@@ -75,7 +78,7 @@ TEST(TmnmTest, FlushResetsSaturation)
 {
     Tmnm tmnm({10, 1, 3});
     for (std::uint64_t i = 0; i < 9; ++i)
-        tmnm.onPlacement(0x10 | (i << 10));
+        tmnm.onPlacement(0x10 | (i << 10), any_line);
     tmnm.onFlush();
     EXPECT_EQ(tmnm.saturatedCounters(), 0u);
     EXPECT_TRUE(tmnm.definitelyMiss(0x10));
@@ -88,7 +91,7 @@ TEST(TmnmTest, MultiTableAnyZeroMeansMiss)
     // but differing in table-1's window (bits 6..13).
     BlockAddr placed = 0x0ff;
     BlockAddr probe = 0x0ff | (0xffull << 8); // same low 8, high differ
-    tmnm.onPlacement(placed);
+    tmnm.onPlacement(placed, any_line);
     EXPECT_FALSE(tmnm.definitelyMiss(placed));
     EXPECT_TRUE(tmnm.definitelyMiss(probe));
 }
@@ -99,8 +102,8 @@ TEST(TmnmTest, SingleTableFooledWhereMultiTableIsNot)
     Tmnm two({8, 2, 3});
     BlockAddr placed = 0x0ff;
     BlockAddr probe = 0x0ff | (0xffull << 8);
-    one.onPlacement(placed);
-    two.onPlacement(placed);
+    one.onPlacement(placed, any_line);
+    two.onPlacement(placed, any_line);
     EXPECT_FALSE(one.definitelyMiss(probe));
     EXPECT_TRUE(two.definitelyMiss(probe));
 }
@@ -110,8 +113,8 @@ TEST(TmnmTest, WiderCountersSaturateLater)
     Tmnm narrow({10, 1, 2}); // saturates at 3
     Tmnm wide({10, 1, 4});   // saturates at 15
     for (std::uint64_t i = 0; i < 5; ++i) {
-        narrow.onPlacement(0x1 | (i << 10));
-        wide.onPlacement(0x1 | (i << 10));
+        narrow.onPlacement(0x1 | (i << 10), any_line);
+        wide.onPlacement(0x1 | (i << 10), any_line);
     }
     EXPECT_EQ(narrow.saturatedCounters(), 1u);
     EXPECT_EQ(wide.saturatedCounters(), 0u);
@@ -120,7 +123,7 @@ TEST(TmnmTest, WiderCountersSaturateLater)
 TEST(TmnmTest, ReplacementOnZeroCounterIsAnomaly)
 {
     Tmnm tmnm({10, 1, 3});
-    tmnm.onReplacement(0x5);
+    tmnm.onReplacement(0x5, any_line);
     EXPECT_EQ(tmnm.anomalies(), 1u);
 }
 
@@ -155,10 +158,10 @@ TEST(TmnmTest, SoundAgainstShadowSetUnderRandomChurn)
                 auto it = shadow.lower_bound(block);
                 if (it == shadow.end())
                     it = shadow.begin();
-                tmnm.onReplacement(*it);
+                tmnm.onReplacement(*it, any_line);
                 shadow.erase(it);
             } else if (!shadow.count(block)) {
-                tmnm.onPlacement(block);
+                tmnm.onPlacement(block, any_line);
                 shadow.insert(block);
             }
             BlockAddr probe = rng.nextBelow(1 << 16);
